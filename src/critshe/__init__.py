@@ -34,7 +34,6 @@ from .errors import (
 )
 from .gausscalc import (
     GaussianMixtureState,
-    HeatKernelSpec,
     apply_heat,
     apply_in,
     apply_J,
@@ -73,7 +72,7 @@ from .shesim import (
     step,
     two_particle_oracle,
 )
-from .simplexint import IntegrationPlan, TimeVector, integrate, sample_simplex
+from .simplexint import IntegrationPlan, TimeVector, integrate
 from .specfun import (
     BetaStar,
     GammaPolynomial,
@@ -101,11 +100,11 @@ __all__ = [
     # diagrams
     "DiagramIndex", "enumerate_diagrams", "count", "classify",
     # Gaussian algebra
-    "GaussianMixtureState", "HeatKernelSpec", "product_state", "apply_heat",
+    "GaussianMixtureState", "product_state", "apply_heat",
     "apply_in", "apply_out", "apply_med", "apply_J", "inner_product",
     "second_moment_kernel", "second_moment_closed_form",
     # simplex integration
-    "TimeVector", "IntegrationPlan", "integrate", "sample_simplex",
+    "TimeVector", "IntegrationPlan", "integrate",
     # moment engine
     "MomentRequest", "MomentResult", "diagram_contribution", "correlation",
     "centered_third_moment", "semigroup_residual",

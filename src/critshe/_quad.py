@@ -96,11 +96,3 @@ def split_exp_rule(T: float, n_per_panel: int = 12) -> tuple[np.ndarray, np.ndar
     weight = np.concatenate([w_low, w_low])
     return s, comp, weight
 
-
-def fixed_panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule over consecutive panels given by edges."""
-    xs, ws = gauss_legendre_01(n)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * xs[None, :]
-    weights = widths[:, None] * ws[None, :]
-    return nodes.ravel(), weights.ravel()

@@ -184,11 +184,25 @@ _DEFAULTS = {
 }
 
 
-def _resolve(command: str, given: dict) -> dict:
+def _from_config(key: str, value, kind):
+    """A config-file value converted as its flag's argparse ``type`` would
+    convert it on the command line; JSON null leaves the option unset."""
+    if kind is None or value is None:
+        return value
+    if isinstance(value, (bool, list, dict)):
+        raise ParameterError(f"config key {key!r} needs a number, got {json.dumps(value)}")
+    try:
+        return kind(str(value))
+    except ValueError:
+        raise ParameterError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from None
+
+
+def _resolve(command: str, given: dict, types: dict) -> dict:
     """Merge precedence: command line > config file > built-in defaults.
 
     ``given`` holds only what was explicitly passed (the parser suppresses
-    everything else); the config file may not introduce unknown keys.
+    everything else); the config file may not introduce unknown keys, and
+    its values pass through the flags' ``types`` (dest -> argparse type).
     """
     defaults = _DEFAULTS[command]
     merged = dict(defaults)
@@ -200,7 +214,7 @@ def _resolve(command: str, given: dict) -> dict:
             raise ParameterError(
                 f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}"
             )
-        merged.update(file_cfg)
+        merged.update({k: _from_config(k, v, types.get(k)) for k, v in file_cfg.items()})
     merged.update({k: v for k, v in given.items() if k not in ("config", "func", "command")})
     return merged
 
@@ -209,8 +223,10 @@ def _threads(cfg: dict) -> int:
     t = cfg.get("threads")
     if t is None:
         env = os.environ.get("CRITSHE_THREADS")
-        t = int(env) if env else (os.cpu_count() or 1)
-    t = int(t)
+        try:
+            t = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ParameterError(f"CRITSHE_THREADS must be an integer, got {env!r}") from None
     if t < 1:
         raise ParameterError(f"thread count must be >= 1, got {t}")
     return t
@@ -267,7 +283,7 @@ def _cmd_moment(cfg: dict, timings: dict) -> tuple[dict, list, list]:
         rows.append(["diagram", d.m, " ".join(f"{i}{j}" for i, j in d.pairs), _fmt(v), _fmt(e)])
         diag_json.append({
             "pairs": [list(p) for p in d.pairs], "m": d.m,
-            "value": v, "error": e, "degenerate": classify(d).degenerate,
+            "value": v, "error": e, "degenerate": classify(d),
         })
         err_sq += e * e
     results = {
@@ -296,7 +312,10 @@ def _cmd_simulate(cfg: dict, timings: dict) -> tuple[dict, list, list]:
         n_grid=int(cfg["grid"]), phi=Mollifier.bump(),
     )
     times_in = cfg["times"]
-    times = [float(s) for s in (times_in.split(",") if isinstance(times_in, str) else times_in)]
+    try:
+        times = [float(s) for s in (times_in.split(",") if isinstance(times_in, str) else times_in)]
+    except (TypeError, ValueError):
+        raise ParameterError(f"--times: expected comma-separated numbers, got {times_in!r}") from None
     cfg["times"] = times
     f = _parse_mixture(cfg["f"], "--f")
     z = _parse_mixture(cfg["z_ic"], "--z-ic")
@@ -331,15 +350,15 @@ def _cmd_diagrams(cfg: dict, timings: dict) -> tuple[dict, list, list]:
     if not cfg["count_only"]:
         listing = []
         for d in enumerate_diagrams(n, m):
-            cls = classify(d)
+            degenerate = classify(d)
             used = sorted({x for pair in d.pairs for x in pair})
             listing.append({
                 "pairs": [list(p) for p in d.pairs],
-                "degenerate": cls.degenerate,
+                "degenerate": degenerate,
                 "particles_used": used,
             })
             rows.append([" ".join(f"{i}{j}" for i, j in d.pairs),
-                         str(cls.degenerate).lower(),
+                         str(degenerate).lower(),
                          " ".join(map(str, used))])
         results["diagrams"] = listing
     timings["enumeration_seconds"] = time.perf_counter() - t0
@@ -459,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # All option defaults are suppressed: the namespace holds only what the
     # user typed, and _resolve fills in _DEFAULTS (letting a config file sit
-    # between the two).  Keep _DEFAULTS in sync with the flags here.
+    # between the two).
     p = sub.add_parser("moment", help="limiting correlation functional",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int)
@@ -520,6 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse ``type`` for every option of ``command``."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.type for a in sub.choices[command]._actions}
+
+
 def run(argv=None) -> int:
     """Parse, execute, emit; returns the process exit code."""
     parser = build_parser()
@@ -528,7 +553,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args.command, vars(args))
+        cfg = _resolve(args.command, vars(args), _option_types(parser, args.command))
     except CritSheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -19,8 +19,7 @@ from typing import Iterator
 
 from .errors import DomainError
 
-__all__ = ["DiagramIndex", "DiagramClass", "iter_diagrams", "enumerate_diagrams",
-           "classify", "count"]
+__all__ = ["DiagramIndex", "iter_diagrams", "enumerate_diagrams", "classify", "count"]
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,6 @@ class DiagramIndex:
     @property
     def m(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class DiagramClass:
-    """Degeneracy flag: true iff some particle appears in no pair."""
-
-    degenerate: bool
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -81,13 +73,13 @@ def enumerate_diagrams(n: int, m: int) -> list[DiagramIndex]:
     return list(iter_diagrams(n, m))
 
 
-def classify(d: DiagramIndex) -> DiagramClass:
-    """Degenerate iff the union of the diagram's pairs misses some particle."""
+def classify(d: DiagramIndex) -> bool:
+    """True iff the diagram is degenerate: its pairs miss some particle."""
     used: set[int] = set()
     for i, j in d.pairs:
         used.add(i)
         used.add(j)
-    return DiagramClass(degenerate=len(used) < d.n)
+    return len(used) < d.n
 
 
 def count(n: int, m: int) -> int:

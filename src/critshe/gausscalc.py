@@ -44,7 +44,6 @@ from .specfun import _beta_value, bessel_k0, jfn_times_t
 
 __all__ = [
     "GaussianMixtureState",
-    "HeatKernelSpec",
     "heat2d",
     "product_state",
     "apply_heat",
@@ -103,26 +102,6 @@ class GaussianMixtureState:
     @property
     def k(self) -> int:
         return self.means_x.shape[2]
-
-
-@dataclass(frozen=True)
-class HeatKernelSpec:
-    """Per-slot heat variances: t everywhere for P_t, (t/2, t, ..., t) for
-    the squeezed interaction step."""
-
-    variances: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.variances) < 1 or any(v <= 0.0 for v in self.variances):
-            raise DomainError(f"heat variances must be positive, got {self.variances}")
-
-    @classmethod
-    def plain(cls, t: float, k: int) -> "HeatKernelSpec":
-        return cls((float(t),) * k)
-
-    @classmethod
-    def squeezed(cls, t: float, k: int) -> "HeatKernelSpec":
-        return cls((float(t) / 2.0,) + (float(t),) * (k - 1))
 
 
 def heat2d(t: float, x) -> float:

@@ -33,7 +33,7 @@ from scipy.interpolate import CubicSpline
 
 from ._quad import gauss_legendre, gauss_legendre_01
 from .errors import DomainError, ResolutionError
-from .specfun import BetaStar
+from .specfun import _EULER_GAMMA as EULER_GAMMA, BetaStar
 
 __all__ = [
     "EULER_GAMMA",
@@ -45,9 +45,6 @@ __all__ = [
     "beta_eps",
     "beta_star",
 ]
-
-# Euler-Mascheroni constant, hard-coded to 16 significant digits.
-EULER_GAMMA = 0.5772156649015329
 
 
 def _bump_raw(r: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gausscalc as gc
-from ._quad import gauss_legendre_01, log_endpoint_rule, log_endpoint_rule_scaled
+from ._quad import log_endpoint_rule, log_endpoint_rule_scaled
 from ._rng import substream_seed
 from .diagrams import DiagramIndex, classify, count, enumerate_diagrams
 from .errors import DomainError, NonconvergenceWarning
@@ -142,10 +142,10 @@ class MomentResult:
 class _DiagramIntegrand:
     """Operator-chain evaluator for one diagram, batched over time vectors.
 
-    ``evaluate_batch`` takes raw durations; ``evaluate_scaled`` takes the
-    interaction durations in log form and returns the integrand multiplied
-    by those durations, so quadrature/sampling rules with the matching
-    1/tau weight never form the singular factor explicitly.
+    ``evaluate_scaled`` takes the interaction durations in log form and
+    returns the integrand multiplied by those durations, so quadrature and
+    sampling rules with the matching 1/tau weight never form the singular
+    factor explicitly.
     """
 
     def __init__(self, d: DiagramIndex, req: MomentRequest):
@@ -155,42 +155,25 @@ class _DiagramIntegrand:
         self.f = req.f
         self.z = req.z_ic
 
-    def _chain(self, tau_int: np.ndarray, half_action) -> np.ndarray:
-        """Run the chain with ``half_action(state, slot)`` applying slot k's
-        interaction step; returns the inner products (B,)."""
+    def evaluate_scaled(self, tau_int: np.ndarray, log_half: np.ndarray) -> np.ndarray:
+        """Run the chain right to left; returns the inner products (B,)
+        times the product of the interaction weights."""
+        tau_int = np.maximum(np.asarray(tau_int, dtype=float), _TINY_TIME)
+        log_half = np.asarray(log_half, dtype=float)
         m = len(self.pairs)
         b = tau_int.shape[0]
-        tau_int = np.maximum(tau_int, _TINY_TIME)
+        weight = np.ones(b)
         state = gc.product_state([list(self.z)] * self.n, batch=b)
         state = gc.apply_in(state, self.pairs[m - 1], tau_int[:, m])
-        state = half_action(state, m - 1)
-        for k in range(m - 1, 0, -1):
-            state = gc.apply_med(state, self.pairs[k], self.pairs[k - 1], tau_int[:, k])
-            state = half_action(state, k - 1)
+        for k in range(m - 1, -1, -1):
+            # interaction step k + 1/2: 4 pi j weight and squeezed heat
+            weight = weight * (_FOUR_PI * jfn_times_t(log_half[:, k], self.beta))
+            state = gc.squeezed_heat(state, np.exp(log_half[:, k]))
+            if k > 0:
+                state = gc.apply_med(state, self.pairs[k], self.pairs[k - 1], tau_int[:, k])
         state = gc.apply_out(state, self.pairs[0], tau_int[:, 0])
         f_state = gc.product_state([list(mix) for mix in self.f], batch=b)
-        return gc.inner_product(f_state, state)
-
-    def evaluate_batch(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        half = np.maximum(tau[:, 1::2], 5e-324)
-
-        def act(state, k):
-            return gc.apply_J(state, half[:, k], self.beta)
-
-        return self._chain(tau[:, 0::2], act)
-
-    def evaluate_scaled(self, tau_int: np.ndarray, log_half: np.ndarray) -> np.ndarray:
-        tau_int = np.asarray(tau_int, dtype=float)
-        log_half = np.asarray(log_half, dtype=float)
-        weight = np.ones(tau_int.shape[0])
-
-        def act(state, k):
-            nonlocal weight
-            weight = weight * (_FOUR_PI * jfn_times_t(log_half[:, k], self.beta))
-            return gc.squeezed_heat(state, np.exp(log_half[:, k]))
-
-        return self._chain(tau_int, act) * weight
+        return gc.inner_product(f_state, state) * weight
 
 
 def _free_term(req: MomentRequest) -> float:
@@ -298,7 +281,7 @@ def centered_third_moment(
     for m in range(1, req.m_max + 1):
         order_values = []
         for d in enumerate_diagrams(3, m):
-            if classify(d).degenerate:
+            if classify(d):
                 continue
             v, e = diagram_contribution(d, req, threads=threads)
             order_values.append(v)
@@ -315,39 +298,6 @@ def centered_third_moment(
 # ---------------------------------------------------------------------------
 # semigroup verification at n = 2
 # ---------------------------------------------------------------------------
-
-def _m1_value(
-    total_t: float,
-    req: MomentRequest,
-    *,
-    shift_out: float = 0.0,
-    shift_in: float = 0.0,
-    n_sigma: int = 72,
-    n_reg: int = 48,
-) -> float:
-    """The single n=2 diagram integral over the simplex of size ``total_t``,
-    with extra heat ``shift_out`` appended after the chain and ``shift_in``
-    prepended before it (the cross terms of the semigroup product)."""
-    beta = req.beta_star
-    x01, w01 = gauss_legendre_01(n_reg)
-    log_sigma, w_sigma = log_endpoint_rule_scaled(total_t, n_sigma)
-    sigma = np.exp(log_sigma)
-    rem = total_t - sigma
-    ls = np.repeat(log_sigma, n_reg)
-    ws = np.repeat(w_sigma, n_reg)
-    rm = np.repeat(rem, n_reg)
-    tau1 = rm * np.tile(x01, n_sigma)
-    tau0 = rm - tau1
-    wt = rm * np.tile(w01, n_sigma)
-    b = ls.size
-    state = gc.product_state([list(req.z_ic)] * 2, batch=b)
-    state = gc.apply_in(state, (1, 2), tau1 + shift_in)
-    state = gc.squeezed_heat(state, np.exp(ls))
-    state = gc.apply_out(state, (1, 2), tau0 + shift_out)
-    f_state = gc.product_state([list(mix) for mix in req.f], batch=b)
-    vals = gc.inner_product(f_state, state)
-    return float(np.sum(ws * wt * (_FOUR_PI * jfn_times_t(ls, beta)) * vals))
-
 
 def _dd_value(
     s: float,
@@ -404,12 +354,18 @@ def _dd_value(
     return total
 
 
+def _heated(mix: Mixture, dt: float) -> Mixture:
+    """P_dt applied to a mixture: every variance grows by dt."""
+    return tuple((w, c, var + dt) for w, c, var in mix)
+
+
 def semigroup_residual(req: MomentRequest, s: float) -> float:
     """| <f,(P_s+D_s)(P_{t-s}+D_{t-s}) z>  -  <f,(P_t+D_t) z> | at n = 2.
 
     All four cross terms of the product are integrable explicitly: the
     heat-heat term composes exactly, the two heat-diagram terms are m=1
-    integrals with a shifted outer/inner heat step, and the
+    diagram integrals with the extra heat moved onto the test functions
+    (<f, P_s g> = <P_s f, g>) or onto the initial datum, and the
     diagram-diagram term is the 4-dimensional nested integral of
     ``_dd_value``.  The result is an absolute residual; normalize by the
     one-step total to compare against relative tolerances.
@@ -422,11 +378,18 @@ def semigroup_residual(req: MomentRequest, s: float) -> float:
     zz = gc.product_state([list(req.z_ic)] * 2)
     ff = gc.product_state([list(mix) for mix in req.f])
     lhs_free = float(gc.inner_product(ff, gc.apply_heat(gc.apply_heat(zz, t - s), s))[0])
+    quadrature = replace(req.plan, mode="adaptive-quadrature")
+
+    def m1(total_t: float, **heated) -> float:
+        # the single n=2 diagram on the simplex of size total_t
+        sub = replace(req, t=total_t, plan=quadrature, **heated)
+        return diagram_contribution(DiagramIndex(2, ((1, 2),)), sub)[0]
+
     lhs = (
         lhs_free
-        + _m1_value(t - s, req, shift_out=s)
-        + _m1_value(s, req, shift_in=t - s)
+        + m1(t - s, f=tuple(_heated(mix, s) for mix in req.f))  # <P_s f, D_{t-s} z>
+        + m1(s, z_ic=_heated(req.z_ic, t - s))                  # <f, D_s P_{t-s} z>
         + _dd_value(s, t, req)
     )
-    rhs = _free_term(req) + _m1_value(t, req)
+    rhs = _free_term(req) + m1(t)
     return abs(lhs - rhs)

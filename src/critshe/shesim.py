@@ -34,7 +34,9 @@ import numpy as np
 
 from ._rng import stream
 from .errors import BlowupError, DomainError, ParameterError
+from .gausscalc import _shared_variance
 from .mollifier import Mollifier, pair_profile
+from .momentengine import _as_mixture
 
 __all__ = [
     "FieldParams",
@@ -48,18 +50,6 @@ __all__ = [
 ]
 
 _MIN_CELLS_PER_EPS = 4.0  # mollifier support must span >= 4 cells
-
-
-def _as_mixture(mix):
-    out = []
-    for w, (cx, cy), var in mix:
-        w, cx, cy, var = float(w), float(cx), float(cy), float(var)
-        if not all(map(math.isfinite, (w, cx, cy, var))) or var <= 0.0:
-            raise DomainError(f"bad mixture component {(w, (cx, cy), var)}")
-        out.append((w, (cx, cy), var))
-    if not out:
-        raise DomainError("a mixture needs at least one component")
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -322,16 +312,6 @@ def estimate_moment(
 
 def _gauss2d(r2: np.ndarray, var: float) -> np.ndarray:
     return np.exp(-r2 / (2.0 * var)) / (2.0 * math.pi * var)
-
-
-def _shared_variance(mix, label: str) -> float:
-    vs = {float(c[2]) for c in mix}
-    if len(vs) != 1:
-        raise ParameterError(
-            f"{label} components must share one variance for the center-of-mass/"
-            f"relative factorization, got {sorted(vs)}"
-        )
-    return vs.pop()
 
 
 def two_particle_oracle(

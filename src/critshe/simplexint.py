@@ -1,19 +1,29 @@
 """Integration over the time simplex of diagram integrands.
 
-A diagram of order m is integrated over the simplex of 2m+1 nonnegative
-durations (tau_0, tau_1/2, tau_1, ..., tau_m) summing to t.  Integrands
-carry integrable endpoint singularities of type 1/(tau log^2 tau) at the
-half-integer (interaction) coordinates, which drives every design choice
-here:
+A diagram of order m >= 1 is integrated over the simplex of 2m+1
+nonnegative durations (tau_0, tau_1/2, tau_1, ..., tau_m) summing to t.
+Integrands carry integrable endpoint singularities of type
+1/(tau log^2 tau) at the half-integer (interaction) coordinates, which
+drives every design choice here.
 
-* ``adaptive-quadrature`` (m <= 1 only): the interaction coordinate is
+An integrand is an object with one method,
+
+    evaluate_scaled(tau_int, log_half) -> (B,) values,
+
+taking the (B, m+1) integer-slot durations and the *logarithms* of the
+(B, m) half-slot durations, and returning the integrand multiplied by the
+product of the half-slot durations.  The 1/tau singular factors thus cancel
+analytically, and no rule below ever forms a half-slot duration that may
+have underflowed.  The modes:
+
+* ``adaptive-quadrature`` (m = 1 only): the interaction coordinate is
   integrated with an exponential endpoint substitution that resolves the
   logarithmic singularity to near machine precision, and the two regular
   coordinates with Gauss-Legendre.  The error estimate is the difference
   of an embedded lower-order rule.
 * ``monte-carlo``: importance sampling with a proposal density matched to
-  the singular profile, q(s) ~ 1/((s+a) log^2((s+a)/b)) per interaction
-  coordinate, applied sequentially with the remaining time budget; the
+  the singular profile, q(s) ~ 1/(s log^2(s/(e b))) per interaction
+  coordinate with b the remaining time budget, sampled through log s; the
   regular coordinates fill the rest of the simplex uniformly.  The error
   estimate is the sample standard error.
 * ``quasi-monte-carlo``: the same map applied to scrambled Sobol points;
@@ -22,18 +32,6 @@ here:
 Sampling is partitioned into fixed-size blocks; block b draws from a
 counter-based stream keyed by (seed, b) and blocks are reduced in index
 order, so a fixed seed gives bit-identical results for any worker count.
-
-Vectorized integrands: an integrand object may expose
-
-* ``evaluate_batch(tau)`` with ``tau`` of shape (B, 2m+1), returning (B,)
-  values -- used by the sampling modes in place of per-sample calls;
-* ``evaluate_scaled(tau_int, log_half)`` with the m+1 integer-slot
-  durations and the *logarithms* of the m half-slot durations, returning
-  the integrand multiplied by the product of the half-slot durations --
-  used by the quadrature mode so that 1/tau singular factors cancel
-  analytically even where tau underflows.
-
-Plain callables of a single TimeVector work in every mode.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from ._quad import gauss_legendre_01, log_endpoint_rule, log_endpoint_rule_scaled
+from ._quad import gauss_legendre_01, log_endpoint_rule_scaled
 from ._rng import stream, substream_seed
 from .errors import AccuracyWarning, DomainError, IntegrandError, ParameterError
 
@@ -54,7 +52,6 @@ __all__ = [
     "TimeVector",
     "IntegrationPlan",
     "integrate",
-    "sample_simplex",
 ]
 
 _MODES = ("adaptive-quadrature", "monte-carlo", "quasi-monte-carlo")
@@ -115,22 +112,8 @@ class IntegrationPlan:
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
 
 
-def sample_simplex(m: int, t: float, rng_stream: np.random.Generator) -> TimeVector:
-    """A uniform sample from the simplex of 2m+1 durations summing to t.
-
-    Uses normalized exponential spacings, so every coordinate has the
-    exchangeable Dirichlet(1, ..., 1) law with mean t/(2m+1).
-    """
-    if m < 1:
-        raise DomainError(f"simplex sampling needs m >= 1, got {m}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"total time must be positive and finite, got {t}")
-    e = rng_stream.standard_exponential(2 * m + 1)
-    return TimeVector(tuple(t * e / e.sum()))
-
-
 # ---------------------------------------------------------------------------
-# proposal maps: uniforms in (0,1)^{2m}  ->  simplex point + proposal density
+# proposal map: uniforms in (0,1)^{2m}  ->  simplex point + importance weight
 # ---------------------------------------------------------------------------
 
 def _stick_break(u: np.ndarray, budget: np.ndarray, n_slots: int) -> np.ndarray:
@@ -150,62 +133,20 @@ def _stick_break(u: np.ndarray, budget: np.ndarray, n_slots: int) -> np.ndarray:
     return out
 
 
-def _uniform_map(m: int, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stick-breaking map onto the uniform law of all 2m+1 coordinates.
-
-    Returns the durations and the log proposal density (a constant).
-    """
-    tau = _stick_break(u, np.full(u.shape[0], t), 2 * m + 1)
-    log_q = np.full(u.shape[0], math.lgamma(2 * m + 1) - 2 * m * math.log(t))
-    return tau, log_q
-
-
-def _importance_map(m: int, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singularity-matched proposal, direct-space variant.
-
-    Each half slot k is drawn from q_k(s) = 1/(Z_k (s+a) log^2((s+a)/b_k))
-    on (0, budget_k) with the floor a = 1e-12 t and b_k = e (budget_k + a);
-    the inverse CDF is explicit.  The integer slots then fill the remaining
-    budget uniformly.  Returns the (B, 2m+1) durations and the log of the
-    joint proposal density w.r.t. Lebesgue measure on the 2m-dimensional
-    simplex.  Used for integrands evaluated pointwise in direct space; the
-    floor caps the weight ratio only down to scale a, so integrands with
-    the full 1/(s log^2 s) singularity should expose ``evaluate_scaled``
-    and get the log-space map below instead.
-    """
-    bsz = u.shape[0]
-    a = 1e-12 * t
-    tau = np.zeros((bsz, 2 * m + 1))
-    log_q = np.zeros(bsz)
-    rem = np.full(bsz, t)
-    for k in range(m):
-        bk = math.e * (rem + a)
-        log_ba = np.log(bk / a)
-        z = 1.0 - 1.0 / log_ba
-        x = u[:, k] * z + 1.0 / log_ba          # = 1/|log((s+a)/b_k)|, exact
-        s = bk * np.exp(-1.0 / x) - a
-        s = np.clip(s, 0.0, rem * (1.0 - 1e-9))
-        tau[:, 2 * k + 1] = s
-        log_q -= np.log(z) + np.log(s + a) - 2.0 * np.log(x)
-        rem = rem - s
-    tau[:, 0::2] = _stick_break(u[:, m:], rem, m + 1)
-    log_q += math.lgamma(m + 1) - m * np.log(rem)
-    return tau, log_q
-
-
 def _importance_map_scaled(
     m: int, t: float, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singularity-matched proposal, log-space variant (floor-free).
+    """Singularity-matched proposal, sampled in log space (floor-free).
 
-    The half slots are sampled through their logarithms: w = log budget + 1
-    - 1/u is the inverse CDF of the density 1/(s log^2(s/(e budget))) --
-    the same profile with the floor taken to zero -- so the far tail is
-    covered all the way down (log sigma is handed to the integrand, never
-    sigma itself, so underflow is irrelevant).  For integrands of the
+    Each half slot is drawn through its logarithm: w = log budget + 1 - 1/u
+    is the inverse CDF of the density 1/(s log^2(s/(e budget))) on
+    (0, budget), with the budget the time not yet used by earlier half
+    slots.  The far tail is covered all the way down, since log sigma is
+    handed to the integrand, never sigma itself.  For integrands of the
     matching 1/(s log^2 s) type, the sample weight per slot is
     sigma * integrand-factor * (1 + log(budget/sigma))^2, which is bounded:
-    finite variance with no representability floor.
+    finite variance with no representability floor.  The integer slots then
+    fill the remaining budget uniformly.
 
     Returns (integer-slot durations (B, m+1), log half-slot durations
     (B, m), log importance weight (B,)); the estimator is
@@ -225,61 +166,26 @@ def _importance_map_scaled(
     return tau_int, log_half, log_w
 
 
-# ---------------------------------------------------------------------------
-# integrand adapters
-# ---------------------------------------------------------------------------
-
-def _interleave(tau_int: np.ndarray, half: np.ndarray) -> np.ndarray:
-    out = np.empty((tau_int.shape[0], tau_int.shape[1] + half.shape[1]))
-    out[:, 0::2] = tau_int
-    out[:, 1::2] = half
-    return out
-
-
-def _batch_values(integrand, tau: np.ndarray) -> np.ndarray:
-    fn = getattr(integrand, "evaluate_batch", None)
-    if fn is not None:
-        vals = np.asarray(fn(tau), dtype=float)
-    else:
-        vals = np.array([float(integrand(TimeVector(tuple(row)))) for row in tau])
+def _weighted_values(
+    integrand, tau_int: np.ndarray, log_half: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """``weight * integrand.evaluate_scaled(tau_int, log_half)``; a
+    non-finite entry raises IntegrandError carrying its time vector."""
+    vals = weight * np.asarray(integrand.evaluate_scaled(tau_int, log_half), dtype=float)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
+        i = bad[0]
+        durations = np.empty(tau_int.shape[1] + log_half.shape[1])
+        durations[0::2] = tau_int[i]
+        durations[1::2] = np.exp(log_half[i])
         raise IntegrandError(
-            "integrand returned a non-finite value",
-            time_vector=TimeVector(tuple(tau[bad[0]])),
+            "integrand returned a non-finite value", time_vector=TimeVector(tuple(durations))
         )
     return vals
 
 
-def _weighted_values(integrand, m: int, t: float, u: np.ndarray, proposal: str) -> np.ndarray:
-    """Map uniforms to simplex samples and return integrand/density values."""
-    scaled = getattr(integrand, "evaluate_scaled", None)
-    if proposal == "importance" and scaled is not None:
-        tau_int, log_half, log_w = _importance_map_scaled(m, t, u)
-        vals = np.asarray(scaled(tau_int, log_half), dtype=float) * np.exp(log_w)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = bad[0]
-            raise IntegrandError(
-                "integrand returned a non-finite value",
-                time_vector=TimeVector(tuple(_interleave(tau_int, np.exp(log_half))[i])),
-            )
-        return vals
-    if proposal == "importance":
-        tau, log_q = _importance_map(m, t, u)
-    else:
-        tau, log_q = _uniform_map(m, t, u)
-    return _batch_values(integrand, tau) * np.exp(-log_q)
-
-
-def _check_scalar(value: float, tv: TimeVector) -> float:
-    if not math.isfinite(value):
-        raise IntegrandError("integrand returned a non-finite value", time_vector=tv)
-    return value
-
-
 # ---------------------------------------------------------------------------
-# quadrature (m <= 1)
+# quadrature (m = 1)
 # ---------------------------------------------------------------------------
 
 def _quadrature_m1(t: float, integrand, n_sigma: int, n_gl: int) -> float:
@@ -290,45 +196,19 @@ def _quadrature_m1(t: float, integrand, n_sigma: int, n_gl: int) -> float:
     (tau_0, tau_1).
     """
     x01, w01 = gauss_legendre_01(n_gl)
-    scaled = getattr(integrand, "evaluate_scaled", None)
-    if scaled is not None:
-        log_sigma, w_sigma = log_endpoint_rule_scaled(t, n_sigma)
-        sigma = np.exp(log_sigma)
-        rem = t - sigma
-        ls = np.repeat(log_sigma, n_gl)
-        ws = np.repeat(w_sigma, n_gl)
-        rm = np.repeat(rem, n_gl)
-        tau1 = rm * np.tile(x01, n_sigma)
-        tau0 = rm - tau1
-        wt = rm * np.tile(w01, n_sigma)
-        vals = np.asarray(scaled(np.column_stack([tau0, tau1]), ls[:, None]), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = bad[0]
-            raise IntegrandError(
-                "integrand returned a non-finite value",
-                time_vector=TimeVector((tau0[i], math.exp(ls[i]), tau1[i])),
-            )
-        return float(np.sum(ws * wt * vals))
-    sigma, _, w_sigma = log_endpoint_rule(t, n_sigma)
-    keep = (sigma > 0.0) & (w_sigma > 0.0)
-    sigma, w_sigma = sigma[keep], w_sigma[keep]
-    total = 0.0
-    for s, ws in zip(sigma, w_sigma):
-        rem = t - s
-        inner = 0.0
-        for x, w in zip(x01, w01):
-            tau1 = rem * x
-            tv = TimeVector((rem - tau1, s, tau1))
-            inner += rem * w * _check_scalar(float(integrand(tv)), tv)
-        total += ws * inner
-    return total
+    log_sigma, w_sigma = log_endpoint_rule_scaled(t, n_sigma)
+    rm = np.repeat(t - np.exp(log_sigma), n_gl)
+    tau1 = rm * np.tile(x01, n_sigma)
+    weight = np.repeat(w_sigma, n_gl) * (rm * np.tile(w01, n_sigma))
+    tau_int = np.column_stack([rm - tau1, tau1])
+    log_half = np.repeat(log_sigma, n_gl)[:, None]
+    return float(np.sum(_weighted_values(integrand, tau_int, log_half, weight)))
 
 
 def _integrate_quadrature(m: int, t: float, integrand, plan: IntegrationPlan) -> tuple[float, float]:
     if m > 1:
         raise ParameterError(
-            f"adaptive quadrature supports m <= 1 (got m={m}); use a sampling mode"
+            f"adaptive quadrature supports m = 1 only (got m={m}); use a sampling mode"
         )
     hi = _quadrature_m1(t, integrand, 72, 48)
     lo = _quadrature_m1(t, integrand, 48, 32)
@@ -339,18 +219,20 @@ def _integrate_quadrature(m: int, t: float, integrand, plan: IntegrationPlan) ->
 # sampling modes
 # ---------------------------------------------------------------------------
 
-def _clip_uniforms(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+def _sampled_values(integrand, m: int, t: float, u: np.ndarray) -> np.ndarray:
+    """Map uniforms to simplex samples and return integrand/density values."""
+    u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+    tau_int, log_half, log_w = _importance_map_scaled(m, t, u)
+    return _weighted_values(integrand, tau_int, log_half, np.exp(log_w))
 
 
-def _sample_block(m, t, integrand, seed, block_index, block_size, proposal):
+def _sample_block(m, t, integrand, seed, block_index, block_size):
     rng = stream(seed, block_index)
-    u = _clip_uniforms(rng.random((block_size, 2 * m)))
-    vals = _weighted_values(integrand, m, t, u, proposal)
+    vals = _sampled_values(integrand, m, t, rng.random((block_size, 2 * m)))
     return math.fsum(vals), math.fsum(vals * vals), block_size
 
 
-def _integrate_mc(m, t, integrand, plan, proposal, threads) -> tuple[float, float]:
+def _integrate_mc(m, t, integrand, plan, threads) -> tuple[float, float]:
     n = plan.samples
     sizes = [_BLOCK] * (n // _BLOCK)
     if n % _BLOCK:
@@ -358,9 +240,9 @@ def _integrate_mc(m, t, integrand, plan, proposal, threads) -> tuple[float, floa
     jobs = [(i, bs) for i, bs in enumerate(sizes)]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ib: _sample_block(m, t, integrand, plan.seed, ib[0], ib[1], proposal), jobs))
+            parts = list(pool.map(lambda ib: _sample_block(m, t, integrand, plan.seed, ib[0], ib[1]), jobs))
     else:
-        parts = [_sample_block(m, t, integrand, plan.seed, i, bs, proposal) for i, bs in jobs]
+        parts = [_sample_block(m, t, integrand, plan.seed, i, bs) for i, bs in jobs]
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / n
@@ -368,13 +250,12 @@ def _integrate_mc(m, t, integrand, plan, proposal, threads) -> tuple[float, floa
     return mean, math.sqrt(var / n)
 
 
-def _integrate_qmc(m, t, integrand, plan, proposal, threads) -> tuple[float, float]:
+def _integrate_qmc(m, t, integrand, plan, threads) -> tuple[float, float]:
     n_per = 1 << max(7, math.ceil(math.log2(max(plan.samples // _QMC_RANDOMIZATIONS, 1))))
 
     def one(r: int) -> float:
         sob = qmc.Sobol(d=2 * m, scramble=True, seed=substream_seed(plan.seed, r))
-        u = _clip_uniforms(sob.random(n_per))
-        return float(np.mean(_weighted_values(integrand, m, t, u, proposal)))
+        return float(np.mean(_sampled_values(integrand, m, t, sob.random(n_per))))
 
     indices = range(_QMC_RANDOMIZATIONS)
     if threads > 1:
@@ -397,37 +278,26 @@ def integrate(
     integrand,
     plan: IntegrationPlan,
     *,
-    proposal: str = "importance",
     threads: int = 1,
 ) -> tuple[float, float]:
     """Integrate ``integrand`` over the simplex of 2m+1 durations summing to t.
 
+    ``integrand`` exposes ``evaluate_scaled`` (see the module docstring).
     Returns (value, error_estimate): a standard error in the sampling modes,
-    an embedded-rule difference in quadrature mode.  m = 0 is the degenerate
-    single-point simplex (pure evaluation, zero error).  Deterministic for a
+    an embedded-rule difference in quadrature mode.  Deterministic for a
     fixed seed and any ``threads``; an error estimate exceeding
     ``plan.rel_tol * |value|`` emits an AccuracyWarning (non-fatal).
     """
-    if m < 0:
-        raise DomainError(f"diagram order must be nonnegative, got {m}")
+    if m < 1:
+        raise DomainError(f"diagram order must be >= 1, got {m}")
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"total time must be positive and finite, got {t}")
-    if proposal not in ("importance", "uniform"):
-        raise ParameterError(f"unknown proposal {proposal!r}")
-    if m == 0:
-        tv = TimeVector((t,))
-        fn = getattr(integrand, "evaluate_batch", None)
-        if fn is not None:
-            value = float(np.asarray(fn(np.array([[t]])), dtype=float)[0])
-        else:
-            value = float(integrand(tv))
-        return _check_scalar(value, tv), 0.0
     if plan.mode == "adaptive-quadrature":
         value, err = _integrate_quadrature(m, t, integrand, plan)
     elif plan.mode == "monte-carlo":
-        value, err = _integrate_mc(m, t, integrand, plan, proposal, threads)
+        value, err = _integrate_mc(m, t, integrand, plan, threads)
     else:
-        value, err = _integrate_qmc(m, t, integrand, plan, proposal, threads)
+        value, err = _integrate_qmc(m, t, integrand, plan, threads)
     if err > plan.rel_tol * max(abs(value), np.finfo(float).tiny):
         warnings.warn(
             AccuracyWarning(

@@ -58,7 +58,7 @@ __all__ = [
     "conv_identity_residual",
 ]
 
-# Euler-Mascheroni constant, 16 significant digits (also exposed publicly by
+# Euler-Mascheroni constant, 16 significant digits (re-exported publicly by
 # the mollifier module, which owns the coupling-constant bookkeeping).
 _EULER_GAMMA = 0.5772156649015329
 _PSI_ONE = -_EULER_GAMMA  # digamma(1)
@@ -489,12 +489,14 @@ def _k0_integral(x: np.ndarray) -> np.ndarray:
     return h * (f.sum(axis=1) - 0.5 * f[:, 0])
 
 
-def _k0_asymptotic(x: float, min_terms: int = 12) -> tuple[float, float]:
-    """Alternating large-x expansion, truncated at its smallest term.
+def _k0_asymptotic(x, min_terms: int = 12):
+    """Alternating large-|x| expansion, truncated at its smallest term.
 
+    ``x`` is real and positive, or complex with Re x > 0 (principal branch).
     Returns (value, magnitude of the last retained term); the latter bounds
-    the truncation error of the divergent series.  Useful as an independent
-    cross-check for x >~ 12 where the smallest term is below 1e-10.
+    the truncation error of the divergent series.  On the real axis it is
+    an independent cross-check for x >~ 12, where the smallest term is below
+    1e-10.
     """
     s = 1.0
     term = 1.0
@@ -509,7 +511,7 @@ def _k0_asymptotic(x: float, min_terms: int = 12) -> tuple[float, float]:
         prev = abs(term)
         if abs(term) < 1.0e-19 * abs(s) or k > 60:
             break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * s, prev
+    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * s, prev
 
 
 def bessel_k0(x):
@@ -554,20 +556,7 @@ def _k0_complex(zeta: complex) -> complex:
             if abs(term) * max(h, 1.0) < 1.0e-19 * max(abs(i0), abs(s) + 1.0e-30):
                 break
         return -(np.log(0.5 * zeta) + _EULER_GAMMA) * i0 + s
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        term *= -((2 * k - 1) ** 2) / (k * 8.0 * zeta)
-        if abs(term) > prev and k > 12:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1.0e-19 * abs(s) or k > 60:
-            break
-    return np.sqrt(np.pi / (2.0 * zeta)) * np.exp(-zeta) * s
+    return _k0_asymptotic(zeta)[0]
 
 
 def green2d(z, x) -> complex:

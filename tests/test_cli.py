@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from critshe.cli import canonical_json, config_hash, run
+from critshe.cli import _DEFAULTS, _option_types, build_parser, canonical_json, config_hash, run
 
 MIX_F = '[[1.0,[0.3,-0.2],0.8]]'
 MIX_Z = '[[1.0,[0.0,0.1],0.5]]'
@@ -131,7 +131,25 @@ class TestCsv:
         assert lines[1] == "12,true,1 2"
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestPrecedence:
+    def test_defaults_cover_exactly_the_flags(self):
+        parser = build_parser()
+        for command, defaults in _DEFAULTS.items():
+            assert set(_option_types(parser, command)) - {"help"} == set(defaults), command
+
+    def test_config_values_typed_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "3", "m": 1}))
+        code, env = run_to_file(tmp_path, ["diagrams", "--config", str(cfg)])
+        assert code == 0 and env["config"]["n"] == 3
+
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4, "m": 1}))
@@ -175,6 +193,20 @@ class TestExitCodes:
         assert run(["simulate", "--epsilon", "0.1", "--grid", "64",
                     "--domain", "8.0", "--times", "0.1"]) == 2  # under-resolved
         capsys.readouterr()
+        assert run(["simulate", "--epsilon", "0.25", "--grid", "128",
+                    "--domain", "8.0", "--times", "a,b"]) == 2
+        assert_one_error_line(capsys)
+        # config values pass through the flag's own type
+        for command, cfg in (("moment", {"n": "abc", "t": 1, "beta_star": 0}),
+                             ("moment", {"n": 2, "t": [1], "beta_star": 0}),
+                             ("moment", {"n": 2, "t": 1, "beta_star": 0, "seed": True}),
+                             ("moment", {"n": 2.5, "t": 1, "beta_star": 0}),
+                             ("diagrams", {"n": 3, "m": [1]}),
+                             ("diagrams", {"n": {"k": 3}, "m": 1})):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run([command, "--config", str(path)]) == 2, cfg
+            assert_one_error_line(capsys)
 
     def test_accuracy_warning_exits_three(self, tmp_path):
         code, env = run_to_file(
@@ -209,6 +241,9 @@ class TestThreads:
         monkeypatch.setenv("CRITSHE_THREADS", "0")
         assert run(["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0"]) == 2
         capsys.readouterr()
+        monkeypatch.setenv("CRITSHE_THREADS", "x")
+        assert run(["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0"]) == 2
+        assert_one_error_line(capsys)
 
     def test_explicit_flag_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRITSHE_THREADS", "0")  # would be rejected

@@ -111,23 +111,23 @@ class TestClassification:
     def test_degenerate_when_some_particle_unused(self):
         # n=3 but only particles 1,2 ever interact
         d = DiagramIndex(3, ((1, 2),))
-        assert classify(d).degenerate is True
+        assert classify(d) is True
 
     def test_nondegenerate_when_all_used(self):
         d = DiagramIndex(3, ((1, 2), (1, 3)))
-        assert classify(d).degenerate is False
+        assert classify(d) is False
 
     def test_n2_single_pair_not_degenerate(self):
-        assert classify(DiagramIndex(2, ((1, 2),))).degenerate is False
+        assert classify(DiagramIndex(2, ((1, 2),))) is False
 
     def test_degenerate_count_n3_m1(self):
         # at n=3, m=1 every diagram leaves one particle untouched
-        flags = [classify(d).degenerate for d in enumerate_diagrams(3, 1)]
+        flags = [classify(d) for d in enumerate_diagrams(3, 1)]
         assert flags == [True, True, True]
 
     def test_nondegenerate_fraction_n3_m2(self):
         ds = enumerate_diagrams(3, 2)
-        nondeg = [d for d in ds if not classify(d).degenerate]
+        nondeg = [d for d in ds if not classify(d)]
         # 6 total; the pairs must differ, so both cover all 3 particles
         # unless they share both particles -- impossible for distinct pairs
         assert len(nondeg) == 6

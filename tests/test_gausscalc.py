@@ -17,7 +17,6 @@ import pytest
 from critshe.errors import DomainError, ParameterError, RankError
 from critshe.gausscalc import (
     GaussianMixtureState,
-    HeatKernelSpec,
     apply_J,
     apply_heat,
     apply_in,
@@ -69,12 +68,6 @@ class TestStateConstruction:
                 np.ones((1, 2)), np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
                 np.zeros((1, 2, 2, 2)),
             )
-
-    def test_heat_spec_factories(self):
-        assert HeatKernelSpec.plain(0.5, 3).variances == (0.5, 0.5, 0.5)
-        assert HeatKernelSpec.squeezed(0.5, 3).variances == (0.25, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            HeatKernelSpec((0.0,))
 
 
 class TestHeatFlow:

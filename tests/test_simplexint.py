@@ -1,10 +1,14 @@
-"""Time-simplex integration: proposal maps, modes, determinism, honesty.
+"""Time-simplex integration: the proposal map, modes, determinism, honesty.
 
-Closed-form oracles (Dirichlet integrals over the simplex of d = 2m+1
-durations summing to t, with the d-1 dimensional Lebesgue measure):
+Every integrand is given in the scaled form the integrator accepts:
+evaluate_scaled(tau_int, log_half) returns the integrand times the product
+of the half-slot durations.  Closed-form oracles (Dirichlet integrals over
+the simplex of d = 2m+1 durations summing to t, with the d-1 dimensional
+Lebesgue measure):
 * constant 1 integrates to t^(d-1)/(d-1)!,
 * the product of all durations integrates to t^(2d-1) / Gamma(2d) * Gamma(1)...
-  concretely for m=1 (d=3): integral of tau0*sigma*tau1 = t^5/120.
+  concretely for m=1 (d=3): integral of tau0*sigma*tau1 = t^5/120,
+* at m=1, 1/(sigma (1 + log(t/sigma))^2) integrates to t e E1(1).
 """
 
 import math
@@ -13,36 +17,35 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import exp1
 
 from critshe._rng import stream
 from critshe.errors import AccuracyWarning, DomainError, IntegrandError, ParameterError
-from critshe.simplexint import IntegrationPlan, TimeVector, integrate, sample_simplex
+from critshe.simplexint import IntegrationPlan, TimeVector, _importance_map_scaled, integrate
 from critshe.specfun import jfn_times_t
 
 
-def const_one(tv):
-    return 1.0
+class ConstOne:
+    def evaluate_scaled(self, tau_int, log_half):
+        return np.exp(np.sum(log_half, axis=1))
 
 
-def slot_product(tv):
-    out = 1.0
-    for x in tv.durations:
-        out *= x
-    return out
-
-
-class SlotProductVectorized:
-    """slot_product with the batch and scaled fast paths."""
-
-    def evaluate_batch(self, tau):
-        return np.prod(np.asarray(tau, dtype=float), axis=1)
+class SlotProduct:
+    """The product of all durations."""
 
     def evaluate_scaled(self, tau_int, log_half):
-        # integrand times the product of half-slot durations
         return np.prod(tau_int, axis=1) * np.exp(2.0 * np.sum(log_half, axis=1))
 
-    def __call__(self, tv):
-        return slot_product(tv)
+
+class LogSingular:
+    """1/(sigma (1 + log(t/sigma))^2) at m = 1: the 1/sigma cancels in the
+    scaled form, which is then finite even where sigma underflows."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def evaluate_scaled(self, tau_int, log_half):
+        return 1.0 / (1.0 + math.log(self.t) - log_half[:, 0]) ** 2
 
 
 class SingularProfile:
@@ -58,22 +61,19 @@ class SingularProfile:
             vals = vals * jfn_times_t(log_half[:, k], 0.0)
         return vals
 
-    def evaluate_batch(self, tau):
-        half = np.asarray(tau, dtype=float)[:, 1::2]
-        vals = np.ones(half.shape[0])
-        for k in range(half.shape[1]):
-            vals = vals * jfn_times_t(np.log(half[:, k]), 0.0) / half[:, k]
-        return vals
 
-    def __call__(self, tv):
-        out = 1.0
-        for s in tv.half_slots():
-            out *= float(jfn_times_t(math.log(s), 0.0)) / s
-        return out
+class NotFinite:
+    def evaluate_scaled(self, tau_int, log_half):
+        return np.full(tau_int.shape[0], math.nan)
 
 
 def simplex_volume(d: int, t: float) -> float:
     return t ** (d - 1) / math.factorial(d - 1)
+
+
+def map_points(m, t, seed, n):
+    u = np.clip(stream(seed, 0).random((n, 2 * m)), 2.0**-53, 1.0 - 2.0**-53)
+    return _importance_map_scaled(m, t, u)
 
 
 class TestTimeVector:
@@ -124,59 +124,47 @@ class TestIntegrationPlan:
 
 
 class TestSampleSimplex:
+    """The importance map that every sampling mode draws its points from."""
+
     def test_sums_to_budget(self):
-        rng = stream(42, 0)
-        tv = sample_simplex(3, 2.5, rng)
-        assert tv.m == 3
-        assert tv.total == pytest.approx(2.5, rel=1e-12)
+        tau_int, log_half, _ = map_points(3, 2.5, 42, 1000)
+        assert np.all(tau_int >= 0.0)
+        total = tau_int.sum(axis=1) + np.exp(log_half).sum(axis=1)
+        np.testing.assert_allclose(total, 2.5, rtol=1e-12)
 
     def test_exchangeable_means(self):
-        rng = stream(7, 1)
-        n, m, t = 4000, 2, 1.0
-        acc = np.zeros(2 * m + 1)
-        for _ in range(n):
-            acc += np.array(sample_simplex(m, t, rng).durations)
-        acc /= n
-        # Dirichlet(1,...,1): each coordinate has mean t/(2m+1), sd ~ t/5/sqrt(n)
-        np.testing.assert_allclose(acc, t / (2 * m + 1), atol=5 * t / 5 / math.sqrt(n))
-
-    def test_domain(self):
-        rng = stream(0, 0)
-        with pytest.raises(DomainError):
-            sample_simplex(0, 1.0, rng)
-        with pytest.raises(DomainError):
-            sample_simplex(1, 0.0, rng)
+        # the regular slots split what the half slots leave uniformly:
+        # Dirichlet(1, 1, 1) shares, each of mean 1/3 and sd 0.24/sqrt(n)
+        n, m = 4000, 2
+        tau_int, _, _ = map_points(m, 1.0, 7, n)
+        share = tau_int / tau_int.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(share.mean(axis=0), 1.0 / (m + 1), atol=5 * 0.24 / math.sqrt(n))
 
 
 class TestModesOnClosedForms:
-    def test_degenerate_m0(self):
-        value, err = integrate(0, 0.7, lambda tv: 2.0 * tv.durations[0], IntegrationPlan())
-        assert value == pytest.approx(1.4)
-        assert err == 0.0
-
     def test_quadrature_constant(self):
-        value, err = integrate(1, 1.3, const_one, IntegrationPlan())
+        value, err = integrate(1, 1.3, ConstOne(), IntegrationPlan())
         assert value == pytest.approx(simplex_volume(3, 1.3), rel=1e-10)
 
     def test_quadrature_polynomial(self):
         t = 0.9
-        value, _ = integrate(1, t, slot_product, IntegrationPlan())
+        value, _ = integrate(1, t, SlotProduct(), IntegrationPlan())
         assert value == pytest.approx(t**5 / 120.0, rel=1e-9)
 
     def test_quadrature_scaled_path(self):
         t = 0.9
-        value, _ = integrate(1, t, SlotProductVectorized(), IntegrationPlan())
-        assert value == pytest.approx(t**5 / 120.0, rel=1e-9)
+        value, _ = integrate(1, t, LogSingular(t), IntegrationPlan())
+        assert value == pytest.approx(t * math.e * exp1(1.0), rel=1e-10)
 
     def test_quadrature_rejects_high_order(self):
         with pytest.raises(ParameterError):
-            integrate(2, 1.0, const_one, IntegrationPlan())
+            integrate(2, 1.0, ConstOne(), IntegrationPlan())
 
     @pytest.mark.parametrize("mode", ["monte-carlo", "quasi-monte-carlo"])
     def test_sampling_polynomial_m1(self, mode):
         t = 0.9
         plan = IntegrationPlan(mode=mode, samples=16384, rel_tol=0.1, seed=5)
-        value, err = integrate(1, t, SlotProductVectorized(), plan)
+        value, err = integrate(1, t, SlotProduct(), plan)
         ref = t**5 / 120.0
         assert abs(value - ref) < max(4.0 * err, 1e-3 * ref)
 
@@ -185,18 +173,9 @@ class TestModesOnClosedForms:
         # d = 5 slots: volume t^4/24
         t = 1.1
         plan = IntegrationPlan(mode=mode, samples=16384, rel_tol=0.1, seed=9)
-        value, err = integrate(2, t, const_one, plan)
+        value, err = integrate(2, t, ConstOne(), plan)
         ref = simplex_volume(5, t)
         assert abs(value - ref) < max(4.0 * err, 2e-3 * ref)
-
-    def test_uniform_proposal_agrees(self):
-        t = 1.1
-        plan = IntegrationPlan(mode="monte-carlo", samples=32768, rel_tol=0.1, seed=3)
-        v_imp, e_imp = integrate(2, t, const_one, plan)
-        v_uni, e_uni = integrate(2, t, const_one, plan, proposal="uniform")
-        ref = simplex_volume(5, t)
-        assert abs(v_imp - ref) < max(4 * e_imp, 2e-3 * ref)
-        assert abs(v_uni - ref) < max(4 * e_uni, 2e-3 * ref)
 
 
 class TestSingularIntegrand:
@@ -209,16 +188,6 @@ class TestSingularIntegrand:
             plan = IntegrationPlan(mode=mode, samples=65536, rel_tol=0.05, seed=17)
             value, err = integrate(1, t, SingularProfile(), plan)
             assert abs(value - ref) < max(4.0 * err, 2e-3 * abs(ref)), (mode, value, ref, err)
-
-    def test_importance_beats_uniform_on_singular_profile(self):
-        # same budget: the matched proposal must give a smaller standard error
-        t = 0.8
-        plan = IntegrationPlan(mode="monte-carlo", samples=32768, rel_tol=0.1, seed=23)
-        _, e_imp = integrate(1, t, SingularProfile(), plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AccuracyWarning)
-            _, e_uni = integrate(1, t, SingularProfile(), plan, proposal="uniform")
-        assert e_imp < e_uni
 
 
 class TestDeterminismAndDiagnostics:
@@ -238,37 +207,29 @@ class TestDeterminismAndDiagnostics:
                       IntegrationPlan(mode="monte-carlo", samples=8192, rel_tol=0.1, seed=2))
         assert a[0] != b[0]
 
-    def test_batch_path_matches_plain_callable(self):
-        # identical samples, identical reduction: bit-equal results
-        t = 0.7
-        plan = IntegrationPlan(mode="monte-carlo", samples=4096, rel_tol=0.1, seed=13)
-        a = integrate(1, t, SlotProductVectorized(), plan, proposal="uniform")
-        b = integrate(1, t, slot_product, plan, proposal="uniform")
-        assert a == b
-
     def test_accuracy_warning_on_thin_budget(self):
         plan = IntegrationPlan(mode="monte-carlo", samples=1000, rel_tol=1e-3, seed=3)
         with pytest.warns(AccuracyWarning):
             integrate(1, 0.8, SingularProfile(), plan)
 
     def test_non_finite_integrand_raises(self):
-        def bad(tv):
-            return math.nan
-
-        with pytest.raises(IntegrandError):
-            integrate(1, 1.0, bad, IntegrationPlan())
+        with pytest.raises(IntegrandError) as exc_info:
+            integrate(1, 1.0, NotFinite(), IntegrationPlan())
+        assert exc_info.value.time_vector is not None
         plan = IntegrationPlan(mode="monte-carlo", samples=1024, rel_tol=0.1)
         with pytest.raises(IntegrandError) as exc_info:
-            integrate(1, 1.0, bad, plan)
+            integrate(1, 1.0, NotFinite(), plan)
         assert exc_info.value.time_vector is not None
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            integrate(-1, 1.0, const_one, IntegrationPlan())
+            integrate(-1, 1.0, ConstOne(), IntegrationPlan())
         with pytest.raises(DomainError):
-            integrate(1, -1.0, const_one, IntegrationPlan())
-        with pytest.raises(ParameterError):
-            integrate(1, 1.0, const_one, IntegrationPlan(), proposal="sobol")
+            integrate(0, 0.7, ConstOne(), IntegrationPlan())
+        with pytest.raises(DomainError):
+            integrate(1, -1.0, ConstOne(), IntegrationPlan())
+        with pytest.raises(DomainError):
+            integrate(1, 0.0, ConstOne(), IntegrationPlan())
 
     @given(st.integers(min_value=1, max_value=3),
            st.floats(min_value=0.2, max_value=3.0))
@@ -277,5 +238,5 @@ class TestDeterminismAndDiagnostics:
         plan = IntegrationPlan(mode="monte-carlo", samples=2048, rel_tol=0.1, seed=77)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
-            value, _ = integrate(m, t, const_one, plan)
+            value, _ = integrate(m, t, ConstOne(), plan)
         assert value > 0.0
