@@ -76,7 +76,6 @@ from .simplexint import IntegrationPlan, TimeVector, integrate
 from .specfun import (
     BetaStar,
     GammaPolynomial,
-    JfnEvalConfig,
     bessel_k0,
     green2d,
     jfn,
@@ -92,7 +91,7 @@ __all__ = [
     "ResolutionError", "ParameterError", "AccuracyError", "RankError",
     "IntegrandError", "BlowupError", "AccuracyWarning", "NonconvergenceWarning",
     # special functions
-    "BetaStar", "JfnEvalConfig", "GammaPolynomial", "jfn", "jfn_times_t",
+    "BetaStar", "GammaPolynomial", "jfn", "jfn_times_t",
     "bessel_k0", "green2d",
     # mollifier
     "Mollifier", "PairProfile", "pair_profile", "beta_phi", "beta_eps",

@@ -189,6 +189,12 @@ def _from_config(key: str, value, kind):
     convert it on the command line; JSON null leaves the option unset."""
     if kind is None or value is None:
         return value
+    if kind is str:  # a path; a number would be opened as a file descriptor
+        if not isinstance(value, str):
+            raise ParameterError(
+                f"config key {key!r} needs a path string, got {json.dumps(value)}"
+            )
+        return value
     if isinstance(value, (bool, list, dict)):
         raise ParameterError(f"config key {key!r} needs a number, got {json.dumps(value)}")
     try:
@@ -459,9 +465,9 @@ def _cmd_verify(cfg: dict, timings: dict) -> tuple[dict, list, list]:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; command-line flags take precedence")
-    p.add_argument("--output", help="envelope path ('-' or omitted: stdout)")
-    p.add_argument("--csv", dest="csv_path", help="optional CSV table path")
+    p.add_argument("--config", type=str, help="JSON config file; command-line flags take precedence")
+    p.add_argument("--output", type=str, help="envelope path ('-' or omitted: stdout)")
+    p.add_argument("--csv", type=str, dest="csv_path", help="optional CSV table path")
     p.add_argument("--threads", type=int,
                    help="worker threads (default: CRITSHE_THREADS or all cores)")
     p.add_argument("--stable-output", action="store_true",

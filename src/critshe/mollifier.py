@@ -25,13 +25,13 @@ spectrally and no adaptive machinery is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._quad import gauss_legendre, gauss_legendre_01
+from ._quad import gauss_legendre
 from .errors import DomainError, ResolutionError
 from .specfun import _EULER_GAMMA as EULER_GAMMA, BetaStar
 

@@ -25,12 +25,15 @@ which makes the quadrature nodes independent of t and keeps evaluation
 stable when t underflows: only log t enters, so callers integrating against
 j near t = 0 should use :func:`jfn_times_t` with the log-time argument.
 
-JW is computed by a two-panel Gauss-Legendre scheme (split at a = 1, using
-1/Gamma(a) = a / Gamma(1+a) on the first panel and log-space truncation 45
-nats below the peak on the second), calibrated to ~5e-15 relative accuracy
-against 40-digit reference values for w in [-3000, 6.5].  Beyond w ~ 6.5
-the value overflows double precision (JW grows like exp(e^w)); the log-space
-variant used for Laplace tails has no such ceiling.
+JW is computed by one two-panel Gauss-Legendre scheme, split at a = 1.
+Panel A, on (0, 1), uses 1/Gamma(a) = a / Gamma(1+a); panel B, on (1, acut),
+is truncated where its integrand has dropped 45 nats below its peak.  The
+same panels give JW, log JW (panel B summed relative to its peak value, for
+the Laplace tails) and the small-t moments of the Laplace check.  JW is
+calibrated to ~5e-15 relative accuracy against 40-digit reference values for
+w in [-3000, 6.5].  Beyond w ~ 6.5 the value overflows double precision (JW
+grows like exp(e^w)); log JW has no such ceiling, but a panel-B cut beyond
+a = 1e6 (w above ~ 13.8) raises AccuracyError instead of truncating.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .errors import AccuracyError, BranchCutError, DomainError, SingularityError
 
 __all__ = [
     "BetaStar",
-    "JfnEvalConfig",
     "GammaPolynomial",
     "jfn",
     "jfn_times_t",
@@ -71,6 +73,15 @@ _W_MAX = 6.5
 # e^-45 = 2.9e-20 is below double-precision resolution of the total.
 _NAT_DROP = 45.0
 
+# Panel A covers a in (0, _SPLIT), panel B a in (_SPLIT, acut) with acut at
+# most _CUT_CAP; for w <= _W_B_MIN panel B is below e^-45 of the total.
+_SPLIT = 1.0
+_CUT_CAP = 1.0e6
+_W_B_MIN = -48.0
+
+# Largest relative gap jfn accepts between its coarse and fine resolutions.
+_JFN_REL_TOL = 1.0e-10
+
 
 @dataclass(frozen=True)
 class BetaStar:
@@ -91,58 +102,38 @@ def _beta_value(beta_star) -> float:
     return b
 
 
-@dataclass(frozen=True)
-class JfnEvalConfig:
-    """Evaluation controls for the interaction weight j(t, b).
-
-    alpha_cutoff caps the automatically determined truncation of the
-    a-integral, split_point separates the small-a panel (where the
-    1/Gamma(a) = a/Gamma(1+a) substitution is applied) from the log-space
-    panel, and rel_tol is the relative accuracy demanded of the embedded
-    coarse/fine rule pair.
-    """
-
-    alpha_cutoff: float = 1.0e6
-    rel_tol: float = 1.0e-10
-    split_point: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.alpha_cutoff > self.split_point > 0.0):
-            raise DomainError(
-                "require alpha_cutoff > split_point > 0, got "
-                f"alpha_cutoff={self.alpha_cutoff}, split_point={self.split_point}"
-            )
-        if not (0.0 < self.rel_tol <= 1.0e-3):
-            raise DomainError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol}")
-
-
-_DEFAULT_CFG = JfnEvalConfig()
-
-
 # ---------------------------------------------------------------------------
 # Core reduction JW(w) = int_0^inf e^(a w) / Gamma(a) da
 # ---------------------------------------------------------------------------
 
-def _panel_a(w: np.ndarray, ns: int, sp: float) -> np.ndarray:
-    """Integral over a in (0, sp) of e^(a w) a / Gamma(1 + a)."""
+def _panel_a_rules(w: np.ndarray, ns: int):
+    """Quadrature rules of panel A = int_0^_SPLIT e^(a w) a / Gamma(1 + a) da.
+
+    Yields (rows, a, terms, div) for each nonempty one of two row sets of w:
+    w >= -2, and w < -2, where the nodes follow s = a |w|.  On those rows
+    panel A is sum(terms) / div; the Laplace check weights the same terms by
+    1/(a + k).
+    """
     xs, ws = gauss_legendre_01(ns)
-    out = np.zeros_like(w)
     near = w >= -2.0
     if near.any():
-        a = sp * xs[None, :]
-        out[near] = sp * np.sum(
-            ws * np.exp(a * w[near, None]) * a / np.exp(gammaln(1.0 + a)), axis=1
-        )
+        a = _SPLIT * xs[None, :]
+        yield (near, a, ws * np.exp(a * w[near, None]) * a / np.exp(gammaln(1.0 + a)),
+               1.0 / _SPLIT)
     far = ~near
     if far.any():
-        # substitute s = a |w| so the e^(-s) decay is resolved uniformly
-        smax = np.minimum(sp * (-w[far]), _NAT_DROP)[:, None]
+        # s = a |w| resolves the e^(-s) decay uniformly
+        smax = np.minimum(_SPLIT * (-w[far]), _NAT_DROP)[:, None]
         s = xs[None, :] * smax
         a = s / (-w[far, None])
-        out[far] = (
-            np.sum(ws * smax * np.exp(-s) * a / np.exp(gammaln(1.0 + a)), axis=1)
-            / (-w[far])
-        )
+        yield far, a, ws * smax * np.exp(-s) * a / np.exp(gammaln(1.0 + a)), -w[far]
+
+
+def _panel_a(w: np.ndarray, ns: int) -> np.ndarray:
+    """Integral over a in (0, _SPLIT) of e^(a w) a / Gamma(1 + a)."""
+    out = np.zeros_like(w)
+    for rows, _, terms, div in _panel_a_rules(w, ns):
+        out[rows] = np.sum(terms, axis=1) / div
     return out
 
 
@@ -161,9 +152,13 @@ def _peak_location(w: np.ndarray) -> np.ndarray:
     return astar
 
 
-def _panel_b_cut(w: np.ndarray, astar: np.ndarray, sp: float, cap: float) -> np.ndarray:
-    """Upper truncation where a w - lgamma(a) has dropped _NAT_DROP nats."""
-    peak = np.maximum(astar, sp)
+def _panel_b_cut(w: np.ndarray, astar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper truncation acut where a w - lgamma(a) has dropped _NAT_DROP nats
+    below its panel-B maximum fmax; returns (acut, fmax).
+
+    Raises AccuracyError where acut would exceed _CUT_CAP.
+    """
+    peak = np.maximum(astar, _SPLIT)
     fmax = peak * w - gammaln(peak)
     hi = peak + 1.0
     for _ in range(40):
@@ -177,47 +172,63 @@ def _panel_b_cut(w: np.ndarray, astar: np.ndarray, sp: float, cap: float) -> np.
         keep = mid * w - gammaln(mid) > fmax - _NAT_DROP
         lo[keep] = mid[keep]
         hi[~keep] = mid[~keep]
-    return np.minimum(hi, cap)
+    if np.any(hi > _CUT_CAP):
+        raise AccuracyError(
+            f"interaction-weight panel B needs a cut beyond a = {_CUT_CAP:g} "
+            f"(w up to {float(w.max()):.6g})",
+            estimate=math.nan,
+            error_bound=math.inf,
+        )
+    return hi, fmax
 
 
-def _panel_b(w: np.ndarray, ns: int, nb: int, sp: float, cap: float) -> np.ndarray:
-    """Integral over a in (sp, acut) of e^(a w - lgamma(a))."""
+def _panel_b(w: np.ndarray, ns: int, nb: int, relative: bool = False):
+    """Integral over a in (_SPLIT, acut) of e^(a w - lgamma(a)), with fmax.
+
+    Returns (integral, fmax), fmax being the panel maximum of a w - lgamma(a);
+    relative=True divides the integral by e^fmax, so that log JW can add fmax
+    back where e^fmax overflows.  Both are 0 for w <= _W_B_MIN.
+    """
     out = np.zeros_like(w)
-    active = w > -48.0  # beyond this the panel is < e^-45 of the total
+    top = np.zeros_like(w)
+    active = w > _W_B_MIN
     if not active.any():
-        return out
+        return out, top
     wv = w[active]
     astar = _peak_location(wv)
-    acut = _panel_b_cut(wv, astar, sp, cap)
+    acut, fmax = _panel_b_cut(wv, astar)
     xs, ws = gauss_legendre_01(ns)
     xb, wb = gauss_legendre_01(nb)
+
+    def integral(rows, a0, a1, xn, wn):
+        width = np.maximum(a1 - a0, 0.0)
+        a = a0[:, None] + width[:, None] * xn[None, :]
+        f = a * wv[rows, None] - gammaln(a)
+        if relative:
+            f -= fmax[rows, None]
+        return width * np.sum(wn * np.exp(f, out=f), axis=1)  # in place: one array fewer
+
     pb = np.zeros_like(wv)
-    flat = astar <= max(3.0, sp)
-    if flat.any():
-        width = acut[flat] - sp
-        a = sp + width[:, None] * xb[None, :]
-        pb[flat] = width * np.sum(wb * np.exp(a * wv[flat, None] - gammaln(a)), axis=1)
+    spv = np.full_like(wv, _SPLIT)
+    flat = astar <= max(3.0, _SPLIT)
+    pb[flat] = integral(flat, spv[flat], acut[flat], xb, wb)
+    # resolve the Gaussian-width-sqrt(astar) peak with its own panel
     peaked = ~flat
-    if peaked.any():
-        # resolve the Gaussian-width-sqrt(astar) peak with its own panel
-        wp = wv[peaked]
-        ap = astar[peaked]
-        cp = acut[peaked]
-        sd = np.sqrt(ap)
-        lo1 = np.maximum(sp, ap - 10.0 * sd)
-        hi1 = np.minimum(cp, ap + 10.0 * sd)
-        spv = np.full_like(wp, sp)
-        acc = np.zeros_like(wp)
-        for a0, a1, xn, wn in ((spv, lo1, xs, ws), (lo1, hi1, xb, wb), (hi1, cp, xs, ws)):
-            width = np.maximum(a1 - a0, 0.0)
-            a = a0[:, None] + width[:, None] * xn[None, :]
-            acc += width * np.sum(wn * np.exp(a * wp[:, None] - gammaln(a)), axis=1)
-        pb[peaked] = acc
+    ap, cp, sp = astar[peaked], acut[peaked], spv[peaked]
+    sd = np.sqrt(ap)
+    lo1 = np.maximum(sp, ap - 10.0 * sd)
+    hi1 = np.minimum(cp, ap + 10.0 * sd)
+    pb[peaked] = (
+        integral(peaked, sp, lo1, xs, ws)
+        + integral(peaked, lo1, hi1, xb, wb)
+        + integral(peaked, hi1, cp, xs, ws)
+    )
     out[active] = pb
-    return out
+    top[active] = fmax
+    return out, top
 
 
-def _jw(w, ns: int = 48, nb: int = 96, cfg: JfnEvalConfig = _DEFAULT_CFG) -> np.ndarray:
+def _jw(w, ns: int = 48, nb: int = 96) -> np.ndarray:
     """JW(w) = int_0^inf e^(a w) / Gamma(a) da, vectorized over w <= _W_MAX."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w > _W_MAX):
@@ -228,86 +239,48 @@ def _jw(w, ns: int = 48, nb: int = 96, cfg: JfnEvalConfig = _DEFAULT_CFG) -> np.
         )
     shape = w.shape
     w = w.ravel()
-    out = _panel_a(w, ns, cfg.split_point) + _panel_b(
-        w, ns, nb, cfg.split_point, cfg.alpha_cutoff
-    )
+    out = _panel_a(w, ns) + _panel_b(w, ns, nb)[0]
     return out.reshape(shape)
 
 
-def _jw_log(w, cfg: JfnEvalConfig = _DEFAULT_CFG) -> np.ndarray:
+def _jw_log(w) -> np.ndarray:
     """log JW(w), stable for arbitrarily large w (used for Laplace tails).
 
-    Both panels are accumulated in log space, so the exp(e^w) growth of JW
-    never materializes as a floating-point value.
+    Panel B is summed relative to its peak value e^fmax, so the exp(e^w)
+    growth of JW never materializes as a floating-point value.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     shape = w.shape
     w = w.ravel()
-    sp = cfg.split_point
-    # panel A in log-sum-exp form (its far-field variant is only needed for
-    # very negative w, where the plain value cannot overflow)
-    la = np.empty_like(w)
-    near = w >= -2.0
-    if near.any():
-        xs, ws = gauss_legendre_01(48)
-        a = sp * xs[None, :]
-        g = a * w[near, None] + np.log(a) - gammaln(1.0 + a)
-        gmax = g.max(axis=1, keepdims=True)
-        la[near] = np.log(sp) + gmax[:, 0] + np.log(np.sum(ws * np.exp(g - gmax), axis=1))
-    far = ~near
-    if far.any():
-        pa = _panel_a(w[far], 48, sp)
-        la[far] = np.where(pa > 0.0, np.log(np.maximum(pa, 1.0e-300)), -np.inf)
-    # panel B in log-sum-exp form
-    lb = np.full_like(w, -np.inf)
-    active = w > -48.0
-    if active.any():
-        wv = w[active]
-        astar = _peak_location(wv)
-        acut = _panel_b_cut(wv, astar, sp, cfg.alpha_cutoff)
-        xb, wb = gauss_legendre_01(96)
-        xs, ws = gauss_legendre_01(48)
-        peak = np.maximum(astar, sp)
-        fmax = peak * wv - gammaln(peak)
-        sd = np.sqrt(np.maximum(astar, 1.0))
-        lo1 = np.clip(astar - 10.0 * sd, sp, acut)
-        hi1 = np.clip(astar + 10.0 * sd, sp, acut)
-        spv = np.full_like(wv, sp)
-        acc = np.zeros_like(wv)
-        for a0, a1, xn, wn in ((spv, lo1, xs, ws), (lo1, hi1, xb, wb), (hi1, acut, xs, ws)):
-            width = np.maximum(a1 - a0, 0.0)
-            a = a0[:, None] + width[:, None] * xn[None, :]
-            acc += width * np.sum(
-                wn * np.exp(a * wv[:, None] - gammaln(a) - fmax[:, None]), axis=1
-            )
-        lb[active] = fmax + np.log(np.maximum(acc, 1.0e-300))
-    return np.logaddexp(la, lb).reshape(shape)
+    pb, fmax = _panel_b(w, 48, 96, relative=True)
+    with np.errstate(divide="ignore"):  # log 0 = -inf where panel B is empty
+        lb = fmax + np.log(pb)
+    return np.logaddexp(np.log(_panel_a(w, 48)), lb).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # Public interaction-weight API
 # ---------------------------------------------------------------------------
 
-def jfn(t, beta_star, cfg: JfnEvalConfig | None = None):
+def jfn(t, beta_star):
     """The interaction weight j(t, b) = int_0^inf t^(a-1) e^(b a)/Gamma(a) da.
 
     Accepts a scalar or array of times t > 0.  The integral is evaluated by
     the calibrated two-panel scheme at two resolutions; if the embedded pair
-    disagrees beyond cfg.rel_tol an AccuracyError carrying the fine estimate
+    disagrees beyond _JFN_REL_TOL an AccuracyError carrying the fine estimate
     and the observed bound is raised.
     """
-    cfg = cfg or _DEFAULT_CFG
     b = _beta_value(beta_star)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
         raise DomainError(f"time must be positive and finite, got {t!r}")
     w = np.log(t_arr) + b
-    coarse = _jw(w, 48, 96, cfg)
-    fine = _jw(w, 72, 144, cfg)
+    coarse = _jw(w, 48, 96)
+    fine = _jw(w, 72, 144)
     err = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1.0e-300)
-    if np.any(err > cfg.rel_tol):
+    if np.any(err > _JFN_REL_TOL):
         raise AccuracyError(
-            "interaction-weight quadrature did not converge to requested rel_tol",
+            f"interaction-weight quadrature did not converge to {_JFN_REL_TOL:g} relative",
             estimate=fine / t_arr,
             error_bound=float(err.max()),
         )
@@ -315,7 +288,7 @@ def jfn(t, beta_star, cfg: JfnEvalConfig | None = None):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def jfn_times_t(log_t, beta_star, cfg: JfnEvalConfig | None = None):
+def jfn_times_t(log_t, beta_star):
     """t * j(t, b) evaluated from log t (vectorized fast path).
 
     This is the form every time-simplex integrand should use: near the
@@ -323,23 +296,21 @@ def jfn_times_t(log_t, beta_star, cfg: JfnEvalConfig | None = None):
     and the product t * j(t, b) = JW(log t + b) remains O(1).  The caller is
     expected to fold the 1/t jacobian into its substitution analytically.
     """
-    cfg = cfg or _DEFAULT_CFG
     b = _beta_value(beta_star)
     w = np.asarray(log_t, dtype=float) + b
-    out = _jw(w, cfg=cfg)
+    out = _jw(w)
     return float(out[0]) if np.ndim(log_t) == 0 else out
 
 
-def jfn_laplace_residual(z, beta_star, cfg: JfnEvalConfig | None = None) -> float:
+def jfn_laplace_residual(z, beta_star) -> float:
     """|int_0^inf e^(z t) j(t, b) dt  -  1/(log(-z) - b)| for Re z < -e^b.
 
     The transform is computed by a hybrid rule: on (0, delta) the exponential
     is expanded so each term reduces to a t-free a-integral (handling the
     1/(t log^2 t) endpoint analytically), and on (delta, T) a composite
     Gauss-Legendre rule in y = log t is used, with T grown until the
-    integrand has decayed 50 nats below unity.
+    integrand has decayed 50 nats below unity.  Both pieces use JW's panels.
     """
-    cfg = cfg or _DEFAULT_CFG
     b = _beta_value(beta_star)
     z = complex(z)
     if not (z.real < -math.exp(b)):
@@ -350,37 +321,21 @@ def jfn_laplace_residual(z, beta_star, cfg: JfnEvalConfig | None = None) -> floa
     target = 1.0 / (np.log(-z) - b)
 
     # --- small-t piece: sum_k (z delta)^k / k! * A_k with
-    #     A_k = int_0^inf delta^a e^(b a) / ((a + k) Gamma(a)) da
+    #     A_k = int_0^inf delta^a e^(b a) / ((a + k) Gamma(a)) da,
+    #     on panel A's nodes and a 128-node rule over panel B
     delta = min(0.25 / abs(z), 0.25 * math.exp(-b), 0.05)
-    w = math.log(delta) + b  # < log(0.25) < psi(1), so the a>1 panel decays
+    w = np.array([math.log(delta) + b])  # < log(0.25) < psi(1): panel B decays
     kmax = 60
-    ks = np.arange(kmax)
-    xs, ws = gauss_legendre_01(64)
-    if w >= -2.0:
-        a = xs
-        base = ws * np.exp(a * w) * a / np.exp(gammaln(1.0 + a))
-    else:
-        smax = min(-w, _NAT_DROP)
-        s = xs * smax
-        a = s / (-w)
-        base = ws * smax * np.exp(-s) * a / np.exp(gammaln(1.0 + a)) / (-w)
-    A = np.sum(base[None, :] / (a[None, :] + ks[:, None]), axis=1)
-    if w > -48.0:
-        fmax = w  # integrand of the a>1 panel is decreasing from a = 1
-        hi = 2.0
-        while hi * w - gammaln(hi) > fmax - _NAT_DROP:
-            hi *= 1.6
-        lo = 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid * w - gammaln(mid) > fmax - _NAT_DROP:
-                lo = mid
-            else:
-                hi = mid
+    ks = np.arange(kmax)[:, None]
+    ((_, a, terms, div),) = _panel_a_rules(w, 64)  # one point, one set of rows
+    A = np.sum(terms / (a + ks), axis=1) / div
+    if w[0] > _W_B_MIN:
+        acut, _ = _panel_b_cut(w, _peak_location(w))
         xb, wb = gauss_legendre_01(128)
-        a2 = 1.0 + xb * (hi - 1.0)
-        base2 = wb * (hi - 1.0) * np.exp(a2 * w - gammaln(a2))
-        A = A + np.sum(base2[None, :] / (a2[None, :] + ks[:, None]), axis=1)
+        width = acut - _SPLIT
+        a = _SPLIT + width * xb
+        terms = wb * width * np.exp(a * w - gammaln(a))
+        A = A + np.sum(terms / (a + ks), axis=1)
     zd = z * delta  # |zd| <= 0.25 so the series converges rapidly
     terms = np.cumprod(np.concatenate([[1.0 + 0.0j], zd / np.arange(1.0, kmax)]))
     small = np.sum(terms * A)
@@ -388,7 +343,7 @@ def jfn_laplace_residual(z, beta_star, cfg: JfnEvalConfig | None = None) -> floa
     # --- mid + tail piece on (delta, T) in y = log t
     T = max(1.0, 4.0 * delta)
     while True:
-        decay = z.real * T + float(_jw_log(math.log(T) + b, cfg)[0]) - math.log(T)
+        decay = z.real * T + float(_jw_log(math.log(T) + b)[0]) - math.log(T)
         if decay < -50.0:
             break
         T *= 1.5
@@ -406,7 +361,7 @@ def jfn_laplace_residual(z, beta_star, cfg: JfnEvalConfig | None = None) -> floa
     for left, right in zip(edges[:-1], edges[1:]):
         y = left + ys * (right - left)
         t_nodes = np.exp(y)
-        log_jw = _jw_log(y + b, cfg)
+        log_jw = _jw_log(y + b)
         mid_tail += (right - left) * np.sum(yw * np.exp(z * t_nodes + log_jw))
     return float(abs(small + mid_tail - target))
 
@@ -457,19 +412,24 @@ def conv_identity_residual(s: float, t: float, beta_star) -> float:
 # Modified Bessel function K0 and the planar resolvent kernel
 # ---------------------------------------------------------------------------
 
-def _k0_ascending(x: np.ndarray) -> np.ndarray:
-    """Ascending series; machine precision for x < 2 (cancellation ~ e^(2x) eps)."""
+def _k0_ascending(x):
+    """Ascending series for real x > 0 or complex x with Re x > 0.
+
+    Machine precision for |x| < 2; cancellation costs ~ e^(2|x|) eps beyond,
+    so at |x| = 10 at least 7 significant digits remain.
+    """
     q = 0.25 * x * x
     i0 = np.ones_like(x)
     term = np.ones_like(x)
     s = np.zeros_like(x)
     h = 0.0
-    for k in range(1, 64):
+    for k in range(1, 80):
         term = term * q / (k * k)
         i0 += term
         h += 1.0 / k
         s += term * h
-        if np.all(term * max(h, 1.0) < 1.0e-19 * np.maximum(i0, np.abs(s) + 1.0e-30)):
+        scale = np.maximum(np.abs(i0), np.abs(s) + 1.0e-30)
+        if np.all(np.abs(term) * max(h, 1.0) < 1.0e-19 * scale):
             break
     return -(np.log(0.5 * x) + _EULER_GAMMA) * i0 + s
 
@@ -534,37 +494,14 @@ def bessel_k0(x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _k0_complex(zeta: complex) -> complex:
-    """K0 on the right half-plane Re zeta > 0 (principal branch).
-
-    Ascending series for |zeta| <= 10 (loses ~e^(2|zeta|) eps to
-    cancellation, i.e. >= 7 significant digits retained), asymptotic series
-    beyond.  Accuracy ~1e-7 in the worst case; the real axis takes the
-    machine-precision real path in green2d instead.
-    """
-    if abs(zeta) <= 10.0:
-        q = 0.25 * zeta * zeta
-        i0 = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        s = 0.0 + 0.0j
-        h = 0.0
-        for k in range(1, 80):
-            term = term * q / (k * k)
-            i0 += term
-            h += 1.0 / k
-            s += term * h
-            if abs(term) * max(h, 1.0) < 1.0e-19 * max(abs(i0), abs(s) + 1.0e-30):
-                break
-        return -(np.log(0.5 * zeta) + _EULER_GAMMA) * i0 + s
-    return _k0_asymptotic(zeta)[0]
-
-
 def green2d(z, x) -> complex:
     """The planar resolvent kernel (1/pi) K0(sqrt(-2 z) |x|).
 
     Principal branches for the square root and logarithm, with cut on
     (-inf, 0]; hence z must avoid [0, inf) and the kernel is real positive
-    for real z < 0.
+    for real z < 0.  Off the real axis K0 comes from the ascending series for
+    |zeta| <= 10 and the asymptotic series beyond, to ~1e-7 relative in the
+    worst case; the real axis takes the machine-precision real path.
     """
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     r = float(np.hypot(x_arr[0], x_arr[1])) if x_arr.size == 2 else float(abs(x_arr[0]))
@@ -578,7 +515,8 @@ def green2d(z, x) -> complex:
     zeta = complex(np.sqrt(-2.0 * z)) * r  # Re zeta > 0 off the cut
     if zeta.imag == 0.0:
         return complex(bessel_k0(zeta.real) / math.pi)
-    return _k0_complex(zeta) / math.pi
+    k0 = _k0_ascending(zeta) if abs(zeta) <= 10.0 else _k0_asymptotic(zeta)[0]
+    return complex(k0) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ def assert_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 class TestPrecedence:
@@ -207,6 +208,12 @@ class TestExitCodes:
             path.write_text(json.dumps(cfg))
             assert run([command, "--config", str(path)]) == 2, cfg
             assert_one_error_line(capsys)
+        # path keys must be strings: a number would be taken as a file descriptor
+        for key in ("output", "csv_path", "config"):
+            for bad in (["x.json"], {"a": 1}, 7):
+                path.write_text(json.dumps({"n": 3, "m": 1, key: bad}))
+                assert run(["diagrams", "--config", str(path)]) == 2, (key, bad)
+                assert repr(key) in assert_one_error_line(capsys)
 
     def test_accuracy_warning_exits_three(self, tmp_path):
         code, env = run_to_file(

@@ -10,10 +10,9 @@ oracle.  Truncation behavior is pinned in both regimes: geometric decay
 import math
 import warnings
 
-import numpy as np
 import pytest
 
-from critshe.diagrams import DiagramIndex, classify, enumerate_diagrams
+from critshe.diagrams import DiagramIndex, classify
 from critshe.errors import DomainError, NonconvergenceWarning
 from critshe.gausscalc import heat2d, second_moment_closed_form
 from critshe.momentengine import (

@@ -1,7 +1,8 @@
 """Special-function layer: interaction weight, K0, resolvent, polynomials.
 
 Reference values frozen from independent oracles:
-* K0 at 1 and 2 from mpmath's besselk (50-digit working precision);
+* K0 at 1 and 2, and the complex resolvent kernel, from mpmath's besselk
+  (50-digit working precision);
 * the interaction-weight integral at log t + b = 0 from an mpmath
   tanh-sinh quadrature of the defining a-integral;
 * the Laplace and convolution identities are self-validating residuals.
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from critshe import specfun
 from critshe.errors import AccuracyError, BranchCutError, DomainError, SingularityError
 from critshe.specfun import (
     BetaStar,
     GammaPolynomial,
-    JfnEvalConfig,
     bessel_k0,
     conv_identity_residual,
     gamma_identity_check,
@@ -32,6 +33,13 @@ K0_AT_1 = 0.4210244382407083
 K0_AT_2 = 0.1138938727495334
 # mpmath tanh-sinh of int_0^inf e^(w a)/Gamma(a) da at w = 0, frozen
 JW_AT_0 = 2.8077702420285195
+# mpmath besselk(0, zeta)/pi for zeta = sqrt(-2 z) at r = 1, frozen
+GREEN2D_COMPLEX = (
+    (-1j, 0.02552772933654481 - 0.11372494740114737j),  # zeta = 1+1j
+    (-2.5 + 6j, -0.006616779410811552 + 0.00773896117288993j),  # 3-2j
+    (-32.5 - 36j, -7.546334058430976e-06 + 1.3554320159366145e-05j),  # 9+4j
+    (-59.5 - 60j, 3.1216220359513023e-07 + 5.973501954254258e-07j),  # 12+5j, asymptotic
+)
 
 
 class TestBetaStar:
@@ -89,10 +97,10 @@ class TestInteractionWeight:
         with pytest.raises(DomainError):
             jfn(-1.0, 0.0)
 
-    def test_embedded_error_control(self):
-        cfg = JfnEvalConfig(rel_tol=1e-30)  # unreachable tolerance must raise
+    def test_embedded_error_control(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_JFN_REL_TOL", 1e-30)  # unreachable tolerance must raise
         with pytest.raises(AccuracyError) as exc_info:
-            jfn(1.0, 0.0, cfg)
+            jfn(1.0, 0.0)
         assert exc_info.value.estimate == pytest.approx(JW_AT_0, rel=1e-10)
 
     def test_laplace_transform_residual(self):
@@ -103,6 +111,12 @@ class TestInteractionWeight:
             z = -math.exp(b + 0.3) * float(rng.uniform(1.0, 5.0))
             rel = abs(jfn_laplace_residual(z, b)) * abs(math.log(-z) - b)
             assert rel < 1e-6
+
+    def test_laplace_near_boundary_raises_instead_of_truncating(self):
+        # the tail needs a panel-B cut far beyond a = 1e6 this close to
+        # Re z = -e^b; a truncated cut would return a wrong value silently
+        with pytest.raises(AccuracyError):
+            jfn_laplace_residual(-(1 + 1e-7), 0.0)
 
     def test_convolution_identity_residual(self):
         # j(t) = int int j(t1) (t2-t1)^-1 j(t-t2), the semigroup identity
@@ -166,6 +180,10 @@ class TestGreen2d:
         val = green2d(z, (r, 0.0))
         assert val.imag == 0.0
         assert val.real == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("z, expected", GREEN2D_COMPLEX)
+    def test_complex_energy_matches_frozen_reference(self, z, expected):
+        assert green2d(z, (1.0, 0.0)) == pytest.approx(expected, rel=1e-7)
 
     def test_rotation_invariance(self):
         z = -1.0 + 0.5j
