@@ -599,10 +599,10 @@ def run(argv=None) -> int:
         "timings": timings,
         "warnings": sorted(str(w.message) for w in accuracy_warnings),
     }
-    try:
-        _emit(envelope, cfg.get("output"))
+    try:  # CSV first: a CSV that cannot be written leaves no envelope behind
         if cfg.get("csv_path"):
             _write_csv(cfg["csv_path"], header, rows)
+        _emit(envelope, cfg.get("output"))
     except CritSheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -32,6 +32,7 @@ pass over the time simplex is a handful of einsum sweeps.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Sequence
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ._quad import gauss_legendre_01, log_endpoint_rule_scaled, split_exp_rule
-from .errors import DomainError, ParameterError, RankError
+from .errors import AccuracyWarning, DomainError, ParameterError, RankError
 from .specfun import _beta_value, bessel_k0, jfn_times_t
 
 __all__ = [
@@ -166,13 +167,22 @@ def _as_batch_times(t, batch: int) -> np.ndarray:
 
 
 def _psd_fix(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalue-clipped repair for covariance batches beyond _COND_LIMIT."""
+    """Eigenvalue-clipped repair for covariance batches beyond _COND_LIMIT;
+    emits an AccuracyWarning that says how many matrices it changed."""
     evals, evecs = np.linalg.eigh(mats)
     top = evals[..., -1:]
     if np.any(top <= 0.0):
         raise RankError("covariance matrix has no positive eigenvalue")
-    clipped = np.maximum(evals, top / _COND_LIMIT)
-    return np.einsum("...ij,...j,...kj->...ik", evecs, clipped, evecs)
+    floor = top / _COND_LIMIT
+    repaired = int(np.count_nonzero(np.any(evals < floor, axis=-1)))
+    warnings.warn(
+        AccuracyWarning(
+            f"singular covariance batch: clipped the eigenvalues of {repaired} of "
+            f"{evals.size // evals.shape[-1]} matrices to condition number {_COND_LIMIT:g}"
+        ),
+        stacklevel=3,
+    )
+    return np.einsum("...ij,...j,...kj->...ik", evecs, np.maximum(evals, floor), evecs)
 
 
 def _solve_or_fix(mats: np.ndarray, rhs: np.ndarray):

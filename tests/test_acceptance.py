@@ -22,7 +22,6 @@ import os
 import time
 import warnings
 
-import numpy as np
 import pytest
 
 from critshe._rng import stream

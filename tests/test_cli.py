@@ -4,11 +4,18 @@ Everything runs in-process through run(argv) so exit codes and file
 side effects can be asserted without spawning subprocesses.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import math
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from critshe import cli
 from critshe.cli import _DEFAULTS, _option_types, build_parser, canonical_json, config_hash, run
 
 MIX_F = '[[1.0,[0.3,-0.2],0.8]]'
@@ -340,3 +347,83 @@ class TestSimulate:
         assert run(argv + ["--threads", "3", "--output", str(b)]) == 0
         ea, eb = json.loads(a.read_text()), json.loads(b.read_text())
         assert ea["results"] == eb["results"]
+
+
+# Candidate values per option of the fast commands: valid ones, and ones a
+# check must reject.  "{tmp}" is the example's scratch directory.
+MIXTURES = (MIX_F, "[[0.4,[0,0],0.5],[0.6,[1,-1],0.2]]", "[]", "[[1,2,3]]", "not-json",
+            "[[1.0,[0.0,0.0],-0.5]]", "[[NaN,[0.0,0.0],0.5]]")
+FUZZ_VALUES = {
+    "n": (1, 2, 0, -1, "x", 2.5), "m": (0, 1, 2, 3, -1, "x"),
+    "t": (0.5, 1.0, 0.0, -1.0, 1000.0, "nan", "inf", "x"),
+    "beta_star": (0.0, -1.0, 1.5, "nan", "x"), "beta0": (0.0, 0.5, "nan", "-inf"),
+    "mollifier": ("bump", "gauss"), "f": MIXTURES, "z_ic": MIXTURES,
+    "m_max": (0, 1, 2, -1, "x"),
+    "mode": ("adaptive-quadrature", "quasi-monte-carlo", "monte-carlo", "simpson"),
+    "samples": (1024, 999, 0, -5), "rel_tol": (1e-3, 0.0, -1.0, "nan"),
+    "seed": (0, 7, -3, 2**70), "suite": ("identities", "everything"),
+    "count_only": (True, False, "yes"), "stable_output": (True, False),
+    "threads": (1, 2, 0, "x"),
+    "output": ("-", "{tmp}/env.json", "{tmp}/missing/env.json"),
+    "csv_path": ("{tmp}/t.csv", "{tmp}/missing/t.csv"),
+}
+CONFIG_TEXTS = ("{cfg}", "{cfg_extra}", "{{not json", "[1, 2]")
+
+
+def _flags(command: str) -> dict:
+    """dest -> flag of every option of ``command`` except --help and --config."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
+            if a.dest not in ("help", "config")}
+
+
+class TestContractOverGeneratedInput:
+    """Every input ends in exit 0/2/3/4 and writes either one envelope or
+    exactly one error line, as the README's exit-code contract says."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_one_report(self, data, monkeypatch):
+        # verify's suite takes seconds and TestVerify runs it; here its
+        # option handling is what is under test
+        monkeypatch.setattr(cli, "_verify_identities", lambda: [
+            {"identity": "stub", "residual": 0.0, "tolerance": 1.0}])
+        command = data.draw(st.sampled_from(("diagrams", "betaconst", "verify", "moment")))
+        flags = _flags(command)
+        keys = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, file_cfg = [command], {}
+            if command == "moment":  # tiny budgets: n and m_max stay <= 2
+                argv += ["--n", str(data.draw(st.sampled_from((1, 2)))), "--m-max", "2"]
+            for key in keys:
+                value = data.draw(st.sampled_from(FUZZ_VALUES[key]), label=key)
+                if isinstance(value, str):
+                    value = value.format(tmp=tmp)
+                if data.draw(st.booleans(), label=f"{key} in config"):
+                    file_cfg[key] = value
+                elif value is True:
+                    argv.append(flags[key])
+                elif value is not False:
+                    argv += [flags[key], str(value)]
+            if file_cfg or data.draw(st.booleans(), label="config file"):
+                text = data.draw(st.sampled_from(CONFIG_TEXTS), label="config text").format(
+                    cfg=json.dumps(file_cfg), cfg_extra=json.dumps({**file_cfg, "banana": 1}))
+                path = pathlib.Path(tmp) / "cfg.json"
+                path.write_text(text)
+                argv += ["--config", str(path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            env_file = pathlib.Path(tmp) / "env.json"
+            envelopes = [text for text in (out.getvalue(),
+                                           env_file.read_text() if env_file.exists() else "")
+                         if text]
+        reports = [ln for ln in err.getvalue().splitlines()
+                   if "error:" in ln or ln.startswith("numerical failure:")]
+        assert code in (0, 2, 3, 4), (argv, code)
+        if envelopes:
+            assert len(envelopes) == 1 and not reports, (argv, envelopes, reports)
+            assert json.loads(envelopes[0])["command"] == command
+        else:
+            assert code in (2, 4) and len(reports) == 1, (argv, code, err.getvalue())

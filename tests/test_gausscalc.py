@@ -10,13 +10,15 @@ Independent oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from critshe.errors import DomainError, ParameterError, RankError
+from critshe.errors import AccuracyWarning, DomainError, ParameterError, RankError
 from critshe.gausscalc import (
     GaussianMixtureState,
+    _solve_or_fix,
     apply_J,
     apply_heat,
     apply_in,
@@ -149,6 +151,19 @@ class TestContractions:
         assert out.k == 3
         # slots 2 and 3 carry the merged mean, slot 1 the spectator
         assert out.means_x[0, 0, 1] == out.means_x[0, 0, 2]
+
+    def test_singular_covariance_repair_warns(self):
+        # two of three covariances are exactly singular, so the batched solve
+        # falls back to eigenvalue clipping, which must say what it repaired
+        mats = np.array([[[1.0, 1.0], [1.0, 1.0]],
+                         [[2.0, 0.0], [0.0, 1.0]],
+                         [[4.0, 2.0], [2.0, 1.0]]])
+        with pytest.warns(AccuracyWarning, match="clipped the eigenvalues of 2 of 3 matrices"):
+            _, fixed = _solve_or_fix(mats, np.ones((3, 2, 1)))
+        assert np.all(np.linalg.eigvalsh(fixed) > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a regular batch is solved as it is
+            _solve_or_fix(mats[1:2], np.ones((1, 2, 1)))
 
     def test_bad_pair_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a package module imports is used or exported."""
+"""Source hygiene: every name a package or test module imports is used or exported."""
 
 import ast
 import pathlib
@@ -7,7 +7,9 @@ import pytest
 
 import critshe
 
-MODULES = sorted(pathlib.Path(critshe.__file__).parent.rglob("*.py"))
+MODULES = sorted(pathlib.Path(critshe.__file__).parent.rglob("*.py")) + sorted(
+    pathlib.Path(__file__).parent.glob("*.py")
+)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

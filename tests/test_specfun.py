@@ -9,6 +9,7 @@ Reference values frozen from independent oracles:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,57 @@ class TestInteractionWeight:
         for w in (-50.0, -700.0, -3000.0, -1e6, -9e15):
             val = float(jfn_times_t(np.array([w]), 0.0)[0])
             assert val == pytest.approx(1.0 / w**2, rel=1.3 / abs(w) + 1e-13)
+
+    def test_table_matches_quadrature(self):
+        # jfn_times_t reads a Chebyshev table; _jw is the quadrature it was
+        # built from.  Above w = 3 the table holds log JW > 20, whose
+        # absolute rounding is JW's relative error
+        rng = np.random.default_rng(11)
+        for w, tol in (
+            (np.concatenate([np.linspace(-3000.0, -64.0, 5001),
+                             np.linspace(-64.0, 3.0, 60_001)]), 1e-13),
+            (1.0 - 1.0 / rng.uniform(size=200_000), 1e-13),  # the QMC law of log t
+            (-np.logspace(2.0, 16.0, 2001), 1e-13),
+            (np.linspace(3.0, 6.5, 20_001)[1:], 2e-12),
+        ):
+            rel = np.abs(jfn_times_t(w, 0.0) / specfun._jw(w) - 1.0)
+            assert rel.max() <= tol, (w.min(), w.max(), rel.max())
+
+    def test_table_edge_cases(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = jfn_times_t(np.array([[np.nan, -np.inf], [-1e300, 6.5]]), 0.0)
+            assert math.isnan(jfn_times_t(math.nan, 0.0))
+        assert out.shape == (2, 2)
+        assert math.isnan(out[0, 0]) and out[0, 1] == 0.0 and out[1, 0] == 0.0
+        assert out[1, 1] == pytest.approx(float(specfun._jw(6.5)[0]), rel=2e-12)
+        for scalar in (0.25, np.float64(0.25), np.array(0.25)):
+            assert type(jfn_times_t(scalar, 0.0)) is float
+        assert jfn_times_t(np.zeros((0, 3)), 0.0).shape == (0, 3)
+        with pytest.raises(AccuracyError) as table_exc:
+            jfn_times_t(np.array([0.0, 6.5 + 1e-9]), 0.0)
+        with pytest.raises(AccuracyError) as quad_exc:
+            specfun._jw(np.array([0.0, 6.5 + 1e-9]))
+        assert str(table_exc.value) == str(quad_exc.value)
+
+    def test_table_built_once_from_few_nodes(self, monkeypatch):
+        sizes = []
+        jw = specfun._jw
+
+        def counting(w, *args):
+            sizes.append(np.size(w))
+            return jw(w, *args)
+
+        monkeypatch.setattr(specfun, "_jw", counting)
+        specfun._jw_table.cache_clear()
+        try:
+            jfn_times_t(np.zeros(3), 0.0)
+            jfn_times_t(0.5, 1.0)
+            info = specfun._jw_table.cache_info()
+        finally:
+            specfun._jw_table.cache_clear()  # the next call rebuilds from _jw itself
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(sizes) == 1 and sizes[0] <= 2048
 
     def test_overflow_guard(self):
         with pytest.raises(AccuracyError):
