@@ -25,8 +25,15 @@ Slot convention: after a contraction at (i, j) the merged variable is stored
 in slot 0 and the surviving particles follow in increasing label order.
 
 Everything is batched: array shapes are (B, C, ...) for B simultaneous
-time-vector evaluations of the same C-component mixture, so a Monte Carlo
-pass over the time simplex is a handful of einsum sweeps.
+time-vector evaluations of the same C-component mixture.  No map solves a
+linear system: a contraction conditions on x_i - x_j = 0, which needs one
+scalar variance per component, the 0/1 embeddings of the pair maps are
+index gathers, and the overlaps invert the 1 x 1 to 3 x 3 covariances of
+the n <= 3 moment chains in closed form (LAPACK only for k >= 4).  The maps
+keep their arrays batch-fastest in memory (Fortran order), so each step is
+a few array operations over contiguous runs of B values: the transpose
+``a.T`` of such an array is a slot-major C-ordered view, which is how the
+maps address single slots and matrix entries.
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ __all__ = [
     "bessel_identity_residual",
 ]
 
-# Conditioning ratio beyond which covariance solves switch to the
-# eigenvalue-clipped fallback.
+# Condition number to which the repair of a singular covariance batch clips
+# the eigenvalues.
 _COND_LIMIT = 1.0e12
 
 
@@ -70,7 +77,8 @@ class GaussianMixtureState:
     """Axis-factorized Gaussian mixture on k planar points, batched.
 
     weights (B, C); means_x, means_y (B, C, k); cov (B, C, k, k), shared by
-    both axes and symmetric positive definite per component.
+    both axes and symmetric positive definite per component.  Any memory
+    layout is accepted; the maps return batch-fastest arrays.
     """
 
     weights: np.ndarray
@@ -121,7 +129,8 @@ def product_state(
 
     ``particles[i]`` lists the (weight, center, variance) components of the
     i-th particle's mixture; the product expands into prod_i C_i components
-    with diagonal covariance.
+    with diagonal covariance.  The ``batch`` rows are one read-only
+    broadcast view of a single row, not copies.
     """
     k = len(particles)
     if k < 1:
@@ -143,11 +152,7 @@ def product_state(
             my[0, c, slot] = float(center[1])
             cv[0, c, slot, slot] = float(var)
         w[0, c] = wt
-    if batch > 1:
-        w = np.repeat(w, batch, axis=0)
-        mx = np.repeat(mx, batch, axis=0)
-        my = np.repeat(my, batch, axis=0)
-        cv = np.repeat(cv, batch, axis=0)
+    w, mx, my, cv = (np.broadcast_to(a, (batch,) + a.shape[1:]) for a in (w, mx, my, cv))
     return GaussianMixtureState(w, mx, my, cv)
 
 
@@ -167,8 +172,10 @@ def _as_batch_times(t, batch: int) -> np.ndarray:
 
 
 def _psd_fix(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalue-clipped repair for covariance batches beyond _COND_LIMIT;
-    emits an AccuracyWarning that says how many matrices it changed."""
+    """Eigenvalue-clipped repair of a covariance batch holding a singular
+    matrix; emits an AccuracyWarning that says how many matrices it changed."""
+    if not np.all(np.isfinite(mats)):
+        raise RankError("covariance matrix has non-finite entries")
     evals, evecs = np.linalg.eigh(mats)
     top = evals[..., -1:]
     if np.any(top <= 0.0):
@@ -180,78 +187,129 @@ def _psd_fix(mats: np.ndarray) -> np.ndarray:
             f"singular covariance batch: clipped the eigenvalues of {repaired} of "
             f"{evals.size // evals.shape[-1]} matrices to condition number {_COND_LIMIT:g}"
         ),
-        stacklevel=3,
+        stacklevel=4,
     )
     return np.einsum("...ij,...j,...kj->...ik", evecs, np.maximum(evals, floor), evecs)
 
 
-def _solve_or_fix(mats: np.ndarray, rhs: np.ndarray):
-    """Batched PSD solve with the eigenvalue fallback; returns (solution, mats)."""
-    try:
-        return np.linalg.solve(mats, rhs), mats
-    except np.linalg.LinAlgError:
+# Cofactors of a symmetric 3 x 3 matrix with flattened entries X: the upper
+# triangle in row order is X[p] X[q] - X[u] X[v] for the index rows below.
+_COF3 = tuple(np.array(ix) for ix in ([4, 2, 1, 0, 1, 0], [8, 5, 5, 8, 2, 4],
+                                      [5, 1, 2, 2, 0, 1], [5, 8, 4, 2, 5, 1]))
+# the upper-triangle position of each entry of a symmetric k x k matrix
+_UPPER = {1: np.array([0]), 2: np.array([0, 1, 1, 2]),
+          3: np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])}
+
+
+def _inv_det(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, det) of a batch of symmetric matrices shaped (..., k, k).
+
+    For k <= 3 the inverse is the adjugate (cofactor formulas) over the
+    determinant, both formed on the (k*k, N) rows of matrix entries, which
+    are contiguous when ``mats`` is in Fortran order; the inverse comes back
+    exactly symmetric and in Fortran order.  LAPACK serves k >= 4.  A batch
+    holding an exactly singular matrix (det 0 or not finite) is repaired as
+    a whole by ``_psd_fix``, which warns; a negative determinant raises
+    RankError.
+    """
+    k = mats.shape[-1]
+    if k > 3:
+        det = np.linalg.det(mats)
+    else:
+        X = mats.reshape(-1, k * k, order="F").T  # symmetric: entry r*k+s = r+k*s
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if k == 1:
+                cof = np.ones_like(X)
+                det = X[0].copy()
+            elif k == 2:
+                cof = np.stack([X[3], -X[1], X[0]])
+                det = X[0] * X[3] - X[1] * X[1]
+            else:
+                p, q, u, v = _COF3
+                cof = X[p]
+                cof *= X[q]
+                cof -= X[u] * X[v]
+                # det from the elimination pivots a, d - b^2/a and their
+                # Schur complement: the cofactor expansion would cancel to
+                # eps * |A|^3 absolute, lost once two eigenvalues are small
+                l1, l2 = X[1] / X[0], X[2] / X[0]
+                d1 = X[4] - X[1] * l1
+                g = X[5] - X[1] * l2
+                det = X[0] * d1 * (X[8] - X[2] * l2 - g * (g / d1))
+        det = det.reshape(mats.shape[:-2], order="F")
+    if not np.all(np.isfinite(det) & (det != 0.0)):
         fixed = _psd_fix(mats)
-        return np.linalg.solve(fixed, rhs), fixed
+        inv = np.linalg.inv(fixed)
+        return 0.5 * (inv + np.swapaxes(inv, -1, -2)), np.linalg.det(fixed)
+    if np.any(det < 0.0):
+        raise RankError("covariance lost positive definiteness")
+    if k > 3:
+        inv = np.linalg.inv(mats)
+        return 0.5 * (inv + np.swapaxes(inv, -1, -2)), det
+    cof /= det.reshape(-1, order="F")
+    return cof[_UPPER[k]].T.reshape(mats.shape, order="F"), det
 
 
-def _embedding(pair: tuple[int, int], k: int) -> np.ndarray:
-    """The k x (k-1) matrix mapping (merged slot first, rest in increasing
-    label order) to the full slot-ordered configuration with x_i = x_j."""
+def _merge_layout(pair: tuple[int, int], k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """0-based slot maps (j, keep, src) of the contraction of ``pair`` among k
+    slots.  After the merge, slot c holds full slot keep[c]: i for the merged
+    slot 0, then the others in label order; src[r] is the slot that full slot
+    r goes to (0 for both i and j), so the embedding x = A y is
+    A[r, src[r]] = 1."""
     i, j = pair
     if not (1 <= i < j <= k):
         raise DomainError(f"pair {pair} is not ordered within 1..{k}")
-    A = np.zeros((k, k - 1))
-    col = 1
-    for r in range(1, k + 1):
-        if r == i or r == j:
-            A[r - 1, 0] = 1.0
-        else:
-            A[r - 1, col] = 1.0
-            col += 1
-    return A
+    rest = [r for r in range(k) if r not in (i - 1, j - 1)]
+    src = np.zeros(k, dtype=np.intp)
+    src[rest] = np.arange(1, k - 1)
+    return j - 1, np.array([i - 1] + rest), src
 
 
 def _restrict(state: GaussianMixtureState, pair: tuple[int, int]) -> GaussianMixtureState:
     """The bare contraction onto x_i = x_j (merged slot stored first).
 
-    For each component N(.; mu, C) per axis, the restriction along x = A y is
-    the Gaussian N(y; m, M^-1) with M = A^T C^-1 A, m = M^-1 A^T C^-1 mu,
-    carrying the two-axis weight factor
-    (2 pi)^-1 (det C det M)^-1 exp(-(r_x + r_y)/2),
-    r = mu^T C^-1 mu - m^T M m.  Exposed only through apply_in / apply_med so
-    that a heat step always regularizes the covariance first.
+    Per axis, N(A y; mu, C) with A the 0/1 embedding is a Gaussian in y: in
+    the coordinates z_0 = x_i - x_j and y = x at the kept slots (i, then the
+    rest in label order), a change of variables with unit Jacobian, it is the
+    density of z_0 at 0 times y's conditional law given z_0 = 0.  With
+    D00 = var(z_0), d = cov(y, z_0) and delta = mu_i - mu_j this gives the
+    mean mu[kept] - d delta / D00, the covariance C[kept, kept] - d d^T / D00
+    and the two-axis weight factor
+    (2 pi D00)^-1 exp(-(delta_x^2 + delta_y^2) / (2 D00)).
+    No matrix is inverted; D00 = 0 (or not finite) repairs the batch with
+    ``_psd_fix``, which warns, and D00 < 0 raises RankError.  Exposed only
+    through apply_in / apply_med so that a heat step always regularizes the
+    covariance first.
     """
     k = state.k
     if k < 2:
         raise DomainError("contraction needs at least two slots")
-    A = _embedding(pair, k)
-    C = state.cov
-    CinvA, C = _solve_or_fix(C, np.broadcast_to(A, C.shape[:2] + A.shape))
-    M = np.einsum("ri,bcrs->bcis", A, CinvA)
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    mu = np.stack([state.means_x, state.means_y], axis=0)  # (2, B, C, k)
-    Cinv_mu, _ = _solve_or_fix(C[None], mu[..., None])
-    At_Cinv_mu = np.einsum("ri,abcr->abci", A, Cinv_mu[..., 0])  # (2, B, C, k-1)
-    m, _ = _solve_or_fix(M[None], At_Cinv_mu[..., None])
-    m = m[..., 0]
-    r = (np.einsum("abck,abck->abc", mu, Cinv_mu[..., 0])
-         - np.einsum("abci,abci->abc", m, At_Cinv_mu))
-    det_C = np.linalg.det(C)
-    det_M = np.linalg.det(M)
-    if np.any(det_C <= 0.0) or np.any(det_M <= 0.0):
+    j, keep, _ = _merge_layout(pair, k)
+    i = keep[0]
+    cov_t = state.cov.T  # slot-major view, (k, k, C, B)
+    var = cov_t[i, i] + cov_t[j, j] - 2.0 * cov_t[i, j]
+    if not np.all(np.isfinite(var) & (var != 0.0)):
+        cov_t = _psd_fix(state.cov).T
+        var = cov_t[i, i] + cov_t[j, j] - 2.0 * cov_t[i, j]
+    if np.any(var < 0.0):
         raise RankError("covariance lost positive definiteness during contraction")
-    factor = np.exp(-0.5 * (r[0] + r[1])) / (2.0 * math.pi * det_C * det_M)
-    new_cov = np.linalg.inv(M)
-    new_cov = 0.5 * (new_cov + np.swapaxes(new_cov, -1, -2))
-    return GaussianMixtureState(state.weights * factor, m[0], m[1], new_cov)
+    d = cov_t[i, keep] - cov_t[j, keep]  # (k-1, C, B)
+    new_cov = cov_t[keep[:, None], keep] - d[:, None] * d[None, :] / var
+    means, quad = [], 0.0
+    for mean in (state.means_x.T, state.means_y.T):
+        delta = mean[i] - mean[j]
+        means.append((mean[keep] - d * (delta / var)).T)
+        quad = quad + delta * delta
+    factor = (np.exp(-0.5 * quad / var) / (2.0 * math.pi * var)).T
+    return GaussianMixtureState(state.weights * factor, means[0], means[1], new_cov.T)
 
 
 def _heat_diag(state: GaussianMixtureState, diag: np.ndarray) -> GaussianMixtureState:
     """Add per-slot variances diag (B, k) to every component's covariance."""
-    cov = state.cov.copy()
+    cov_t = state.cov.T.copy()  # (k, k, C, B)
     idx = np.arange(state.k)
-    cov[:, :, idx, idx] += diag[:, None, :]
-    return GaussianMixtureState(state.weights, state.means_x, state.means_y, cov)
+    cov_t[idx, idx] += diag.T[:, None, :]
+    return GaussianMixtureState(state.weights, state.means_x, state.means_y, cov_t.T)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +326,18 @@ def apply_out(state: GaussianMixtureState, pair: tuple[int, int], t) -> Gaussian
     """P_t S*_{ij}: expand the merged slot onto particles i and j, then heat.
 
     N(.; mu, S) on k-1 slots maps to N(.; A mu, A S A^T + t I) on k slots
-    with unchanged weight; the heat step makes the rank-deficient A S A^T
-    strictly positive definite, which is why the bare adjoint is not exposed.
+    with unchanged weight (A the 0/1 embedding, applied as an index gather);
+    the heat step makes the rank-deficient A S A^T strictly positive
+    definite, which is why the bare adjoint is not exposed.
     """
     tau = _as_batch_times(t, state.batch)
     k_out = state.k + 1
-    A = _embedding(pair, k_out)
-    mx = np.einsum("ri,bci->bcr", A, state.means_x)
-    my = np.einsum("ri,bci->bcr", A, state.means_y)
-    cov = np.einsum("ri,bcij,sj->bcrs", A, state.cov, A)
+    src = _merge_layout(pair, k_out)[2]
+    cov_t = state.cov.T[src[:, None], src]  # (k_out, k_out, C, B)
     idx = np.arange(k_out)
-    cov = cov.copy()
-    cov[:, :, idx, idx] += tau[:, None, None]
-    return GaussianMixtureState(state.weights.copy(), mx, my, cov)
+    cov_t[idx, idx] += tau
+    return GaussianMixtureState(state.weights, state.means_x.T[src].T,
+                                state.means_y.T[src].T, cov_t.T)
 
 
 def apply_in(state: GaussianMixtureState, pair: tuple[int, int], t) -> GaussianMixtureState:
@@ -352,22 +409,16 @@ def inner_product(f_state: GaussianMixtureState, g_state: GaussianMixtureState) 
     if f_state.batch != g_state.batch:
         raise DomainError("batch sizes differ")
     k = f_state.k
-    S = f_state.cov[:, :, None] + g_state.cov[:, None, :]  # (B, Cf, Cg, k, k)
-    dx = f_state.means_x[:, :, None] - g_state.means_x[:, None, :]
-    dy = f_state.means_y[:, :, None] - g_state.means_y[:, None, :]
-    det_S = np.linalg.det(S)
-    if np.any(det_S <= 0.0) or np.any(~np.isfinite(det_S)):
-        raise RankError("singular covariance sum in Gaussian overlap")
-    try:
-        sol = np.linalg.solve(S, np.stack([dx, dy], axis=-1))
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"covariance solve failed in Gaussian overlap: {exc}") from exc
-    quad = np.einsum("bfgk,bfgk->bfg", dx, sol[..., 0]) + np.einsum(
-        "bfgk,bfgk->bfg", dy, sol[..., 1]
-    )
-    overlap = np.exp(-0.5 * quad) / ((2.0 * math.pi) ** k * det_S)
-    ww = f_state.weights[:, :, None] * g_state.weights[:, None, :]
-    return np.einsum("bfg,bfg->b", ww, overlap)
+    # slot-major views (slots first, batch last); pair axes ordered (Cg, Cf)
+    S_t = f_state.cov.T[:, :, None] + g_state.cov.T[:, :, :, None]  # (k, k, Cg, Cf, B)
+    d_t = np.stack([f_state.means_x.T[:, None] - g_state.means_x.T[:, :, None],
+                    f_state.means_y.T[:, None] - g_state.means_y.T[:, :, None]], axis=1)
+    S_inv, det_S = _inv_det(S_t.T)
+    del S_t
+    quad = np.einsum("ka...,kl...,la...->...", d_t, S_inv.T, d_t)  # (Cg, Cf, B)
+    overlap = np.exp(-0.5 * quad) / ((2.0 * math.pi) ** k * det_S.T)
+    ww = g_state.weights.T[:, None] * f_state.weights.T[None]
+    return np.einsum("gfb,gfb->b", ww, overlap)
 
 
 def evaluate(state: GaussianMixtureState, xs, ys) -> np.ndarray:
@@ -377,14 +428,10 @@ def evaluate(state: GaussianMixtureState, xs, ys) -> np.ndarray:
     if state.batch != 1:
         raise DomainError("pointwise evaluation expects an unbatched state")
     k = state.k
-    dx = xs[..., None, :] - state.means_x[0]  # (..., C, k)
-    dy = ys[..., None, :] - state.means_y[0]
-    cov = state.cov[0]  # (C, k, k)
-    sol = np.linalg.solve(cov, np.stack([dx, dy], axis=-1))
-    quad = np.einsum("...ck,...ck->...c", dx, sol[..., 0]) + np.einsum(
-        "...ck,...ck->...c", dy, sol[..., 1]
-    )
-    det = np.linalg.det(cov)
+    d = np.stack([xs[..., None, :] - state.means_x[0],
+                  ys[..., None, :] - state.means_y[0]], axis=-1)  # (..., C, k, 2)
+    cov_inv, det = _inv_det(state.cov[0])  # (C, k, k), (C,)
+    quad = np.einsum("...cka,...cka->...c", d, cov_inv @ d)
     dens = np.exp(-0.5 * quad) / ((2.0 * math.pi) ** k * det)
     return np.einsum("c,...c->...", state.weights[0], dens)
 

@@ -163,11 +163,12 @@ class _DiagramIntegrand:
         m = len(self.pairs)
         b = tau_int.shape[0]
         weight = np.ones(b)
+        jw = _FOUR_PI * jfn_times_t(log_half, self.beta)  # every step's 4 pi j at once
         state = gc.product_state([list(self.z)] * self.n, batch=b)
         state = gc.apply_in(state, self.pairs[m - 1], tau_int[:, m])
         for k in range(m - 1, -1, -1):
             # interaction step k + 1/2: 4 pi j weight and squeezed heat
-            weight = weight * (_FOUR_PI * jfn_times_t(log_half[:, k], self.beta))
+            weight = weight * jw[:, k]
             state = gc.squeezed_heat(state, np.exp(log_half[:, k]))
             if k > 0:
                 state = gc.apply_med(state, self.pairs[k], self.pairs[k - 1], tau_int[:, k])
@@ -334,18 +335,24 @@ def _dd_value(
         b = n_sigma * n_reg * n_reg
         T1 = np.concatenate([np.repeat(bl[4], n_reg) for bl in blocks])
         SR = np.concatenate([np.full(n_reg * n_reg, math.exp(bl[0])) for bl in blocks])
-        WMID = np.concatenate([np.repeat(bl[2], n_reg) for bl in blocks]) + np.tile(u1, n_sigma * n_reg)
+        WMID = np.maximum(
+            np.concatenate([np.repeat(bl[2], n_reg) for bl in blocks]) + np.tile(u1, n_sigma * n_reg),
+            _TINY_TIME,
+        )
         U0 = np.tile(u0, n_sigma * n_reg)
+        # the heat block between the two merges is the equal-pair link
+        # S P_w S* = (4 pi w)^-1 squeezed_heat(., w), folded in exactly
         WEIGHT = (
             np.concatenate(
                 [bl[1] * (_FOUR_PI * jfn_times_t(np.full(1, bl[0]), beta))[0] * np.repeat(bl[3], n_reg) for bl in blocks]
             )
             * np.tile(wu1, n_sigma * n_reg)
+            / (_FOUR_PI * WMID)
         )
         state = gc.product_state([list(req.z_ic)] * 2, batch=b)
         state = gc.apply_in(state, (1, 2), np.maximum(T1, _TINY_TIME))
         state = gc.squeezed_heat(state, SR)
-        state = gc.apply_med(state, (1, 2), (1, 2), WMID)
+        state = gc.squeezed_heat(state, WMID)
         state = gc.squeezed_heat(state, np.full(b, math.exp(lsl)))
         state = gc.apply_out(state, (1, 2), np.maximum(U0, _TINY_TIME))
         f_state = gc.product_state([list(mix) for mix in req.f], batch=b)

@@ -29,9 +29,13 @@ have underflowed.  The modes:
 * ``quasi-monte-carlo``: the same map applied to scrambled Sobol points;
   the error estimate is the spread over independent randomizations.
 
-Sampling is partitioned into fixed-size blocks; block b draws from a
+Results are bit-identical for a fixed seed and any worker count.  Monte
+Carlo sampling is partitioned into fixed-size blocks; block b draws from a
 counter-based stream keyed by (seed, b) and blocks are reduced in index
-order, so a fixed seed gives bit-identical results for any worker count.
+order.  Quasi-Monte Carlo stacks the points of all randomizations into one
+batch, evaluates it in fixed-size contiguous row chunks (every row's value
+is independent of the chunking), and takes each randomization's mean over
+its own slice of rows.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
 _MODES = ("adaptive-quadrature", "monte-carlo", "quasi-monte-carlo")
 _BLOCK = 8192          # samples per RNG block (part of the determinism contract)
 _QMC_RANDOMIZATIONS = 8
+_QMC_CHUNK = 4096      # rows per QMC evaluation chunk (memory-bound; not a thread knob)
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,8 @@ def _integrate_quadrature(m: int, t: float, integrand, plan: IntegrationPlan) ->
 
 def _sampled_values(integrand, m: int, t: float, u: np.ndarray) -> np.ndarray:
     """Map uniforms to simplex samples and return integrand/density values."""
-    u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
-    tau_int, log_half, log_w = _importance_map_scaled(m, t, u)
+    tau_int, log_half, log_w = _importance_map_scaled(
+        m, t, np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
     return _weighted_values(integrand, tau_int, log_half, np.exp(log_w))
 
 
@@ -252,17 +257,22 @@ def _integrate_mc(m, t, integrand, plan, threads) -> tuple[float, float]:
 
 def _integrate_qmc(m, t, integrand, plan, threads) -> tuple[float, float]:
     n_per = 1 << max(7, math.ceil(math.log2(max(plan.samples // _QMC_RANDOMIZATIONS, 1))))
+    u = np.concatenate([
+        qmc.Sobol(d=2 * m, scramble=True, seed=substream_seed(plan.seed, r)).random(n_per)
+        for r in range(_QMC_RANDOMIZATIONS)
+    ])
+    chunks = [u[i:i + _QMC_CHUNK] for i in range(0, len(u), _QMC_CHUNK)]
 
-    def one(r: int) -> float:
-        sob = qmc.Sobol(d=2 * m, scramble=True, seed=substream_seed(plan.seed, r))
-        return float(np.mean(_sampled_values(integrand, m, t, sob.random(n_per))))
+    def one(chunk: np.ndarray) -> np.ndarray:
+        return _sampled_values(integrand, m, t, chunk)
 
-    indices = range(_QMC_RANDOMIZATIONS)
-    if threads > 1:
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = np.array(list(pool.map(one, indices)))
+            vals = np.concatenate(list(pool.map(one, chunks)))
     else:
-        means = np.array([one(r) for r in indices])
+        vals = np.concatenate([one(c) for c in chunks])
+    means = np.array([np.mean(vals[r * n_per:(r + 1) * n_per])
+                      for r in range(_QMC_RANDOMIZATIONS)])
     value = float(np.mean(means))
     err = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return value, err

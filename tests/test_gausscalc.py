@@ -18,7 +18,7 @@ import pytest
 from critshe.errors import AccuracyWarning, DomainError, ParameterError, RankError
 from critshe.gausscalc import (
     GaussianMixtureState,
-    _solve_or_fix,
+    _inv_det,
     apply_J,
     apply_heat,
     apply_in,
@@ -140,6 +140,59 @@ class TestContractions:
             med.weights, ref.weights / (4.0 * math.pi * t), rtol=1e-12
         )
 
+    def test_pair_maps_match_dense_embedding(self):
+        # reference: the contraction with its embedding A as a dense k x (k-1)
+        # matrix and LAPACK solves, on correlated two-component batches
+        rng = np.random.default_rng(8)
+        B, C, k, t = 5, 2, 3, 0.4
+        L = rng.standard_normal((B, C, k, k))
+        state = GaussianMixtureState(
+            rng.uniform(0.5, 1.5, (B, C)), rng.standard_normal((B, C, k)),
+            rng.standard_normal((B, C, k)), L @ np.swapaxes(L, -1, -2) + 0.3 * np.eye(k))
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            A = np.zeros((k, k - 1))
+            A[[i - 1, j - 1], 0] = 1.0
+            A[[r for r in range(k) if r not in (i - 1, j - 1)], range(1, k - 1)] = 1.0
+            cov = state.cov + t * np.eye(k)
+            mu = np.stack([state.means_x, state.means_y], axis=-1)  # (B, C, k, 2)
+            P_A = np.linalg.solve(cov, np.broadcast_to(A, cov.shape[:2] + A.shape))
+            P_mu = np.linalg.solve(cov, mu)
+            M = A.T @ P_A
+            m = np.linalg.solve(M, A.T @ P_mu)
+            r = np.sum(mu * P_mu, axis=(-2, -1)) - np.sum(m * (A.T @ P_mu), axis=(-2, -1))
+            factor = np.exp(-0.5 * r) / (2 * math.pi * np.linalg.det(cov) * np.linalg.det(M))
+            got = apply_in(state, (i, j), t)
+            np.testing.assert_allclose(got.weights, state.weights * factor, rtol=1e-12)
+            np.testing.assert_allclose(got.means_x, m[..., 0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(got.means_y, m[..., 1], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(got.cov, np.linalg.inv(M), rtol=1e-12, atol=1e-14)
+            back = apply_out(got, (i, j), t)
+            np.testing.assert_array_equal(back.means_x, got.means_x @ A.T)
+            np.testing.assert_array_equal(back.cov, A @ got.cov @ A.T + t * np.eye(k))
+
+    def test_contraction_of_nearly_coincident_particles(self):
+        # C = s 11^T + t I has two eigenvalues t = 1e-9 against s = 0.3;
+        # contracting x_1 = x_3 leaves [[s + t/2, s], [s, s + t]], the pair
+        # midpoint as mean and the factor rho(2t, mu_1 - mu_3) per axis
+        s, t = 0.3, 1e-9
+        mx, my = np.array([0.2, -0.4, 0.2 + 3e-5]), np.array([0.1, 0.5, 0.1 - 2e-5])
+        state = GaussianMixtureState(np.ones((1, 1)), mx[None, None], my[None, None],
+                                     np.full((1, 1, 3, 3), s))
+        got = apply_in(state, (1, 3), t)
+        np.testing.assert_allclose(got.cov[0, 0], [[s + t / 2, s], [s, s + t]], rtol=1e-7)
+        np.testing.assert_allclose(got.means_x[0, 0], [(mx[0] + mx[2]) / 2, mx[1]], rtol=1e-7)
+        np.testing.assert_allclose(got.means_y[0, 0], [(my[0] + my[2]) / 2, my[1]], rtol=1e-7)
+        rho = heat2d(2 * t, (mx[0] - mx[2], my[0] - my[2]))
+        assert got.weights[0, 0] == pytest.approx(rho, rel=1e-6)
+
+    def test_unresolvable_contraction_is_repaired_with_warning(self):
+        # S_12 P_t S*_12 with t below the resolution of the variance 0.5:
+        # x_1 - x_2 has variance exactly 0 in floating point
+        s = product_state([[(1.0, (0.3, -0.2), 0.5)]])
+        with pytest.warns(AccuracyWarning, match="clipped the eigenvalues of 1 of 1 matrices"):
+            med = apply_med(s, (1, 2), (1, 2), 1e-300)
+        assert np.all(np.isfinite(med.weights)) and med.weights[0, 0] > 0.0
+
     def test_apply_in_reduces_slot_count(self):
         f = product_state(F3)
         out = apply_in(f, (1, 3), 0.5)
@@ -153,23 +206,70 @@ class TestContractions:
         assert out.means_x[0, 0, 1] == out.means_x[0, 0, 2]
 
     def test_singular_covariance_repair_warns(self):
-        # two of three covariances are exactly singular, so the batched solve
-        # falls back to eigenvalue clipping, which must say what it repaired
+        # two of three covariances are exactly singular, so the batch falls
+        # back to eigenvalue clipping, which must say what it repaired
         mats = np.array([[[1.0, 1.0], [1.0, 1.0]],
                          [[2.0, 0.0], [0.0, 1.0]],
                          [[4.0, 2.0], [2.0, 1.0]]])
         with pytest.warns(AccuracyWarning, match="clipped the eigenvalues of 2 of 3 matrices"):
-            _, fixed = _solve_or_fix(mats, np.ones((3, 2, 1)))
-        assert np.all(np.linalg.eigvalsh(fixed) > 0.0)
+            inv, det = _inv_det(mats)
+        assert np.all(det > 0.0)
+        assert np.all(np.linalg.eigvalsh(inv) > 0.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a regular batch is solved as it is
-            _solve_or_fix(mats[1:2], np.ones((1, 2, 1)))
+            warnings.simplefilter("error")  # a regular batch is inverted as it is
+            _inv_det(mats[1:2])
 
     def test_bad_pair_rejected(self):
         with pytest.raises(DomainError):
             apply_in(product_state(F3), (3, 1), 0.5)
         with pytest.raises(DomainError):
             apply_out(product_state(G2), (1, 4), 0.5)
+
+
+class TestInverseDeterminant:
+    """The closed-form (inverse, det) behind every contraction and overlap."""
+
+    @staticmethod
+    def spd_batch(k: int, cond: float, seed: int, n: int = 64) -> np.ndarray:
+        # random rotations of spectra spread geometrically over [1/cond, 1],
+        # each matrix scaled by its own factor
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, k, k)))
+        lam = np.geomspace(1.0, 1.0 / cond, k) * rng.uniform(0.1, 10.0, (n, 1))
+        mats = np.einsum("bij,bj,bkj->bik", q, lam, q)
+        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cond", [1.0, 1e5, 1e10])
+    def test_matches_lapack(self, k, cond):
+        mats = self.spd_batch(k, cond, seed=10 * k + round(math.log10(cond)))
+        inv, det = _inv_det(mats)
+        ref_inv, ref_det = np.linalg.inv(mats), np.linalg.det(mats)
+        tol = 100.0 * np.finfo(float).eps * cond  # both routes lose ~eps * cond
+        np.testing.assert_allclose(det, ref_det, rtol=tol)
+        scale = np.abs(ref_inv).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(inv - ref_inv) <= tol * scale)
+        np.testing.assert_array_equal(inv, np.swapaxes(inv, -1, -2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_negative_determinant_raises(self, k):
+        mats = np.stack([np.eye(k), np.diag([-2.0, 1.0, 3.0][:k])])
+        with pytest.raises(RankError):
+            _inv_det(mats)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_singular_batch_leaks_no_numpy_warning(self, k):
+        # an exactly singular matrix is repaired (with the AccuracyWarning),
+        # a zero matrix is rejected; neither divides by zero in the open
+        mats = np.stack([np.ones((k, k)), np.eye(k)])
+        with pytest.warns(AccuracyWarning) as record:
+            inv, det = _inv_det(mats)
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+        assert np.all(np.isfinite(inv)) and np.all(det > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankError):
+                _inv_det(np.zeros((2, k, k)))
 
 
 class TestInnerProduct:

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package or test module imports is used or exported."""
+"""Source hygiene: every name a package or test module imports is used or
+exported, and every name the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -47,3 +49,18 @@ def test_scan_flags_unused_and_spares_exports():
         "    return np.pi\n"
     )
     assert unused_imports(tree) == ["json", "os", "pi"]
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps package functions and thread pools by
+    # (module, attribute); a rename or deletion would break the traced run.
+    # The file is executed from its source, so no bytecode lands beside it.
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tracing: dict = {}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    names = [(mod, attr) for mod, attr, *_ in tracing["_TARGETS"]]
+    names += [(mod, "ThreadPoolExecutor") for mod, _ in tracing["_POOLS"]]
+    names.append(("critshe.momentengine", "integrate"))
+    missing = [(mod, attr) for mod, attr in names
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []

@@ -22,7 +22,7 @@ from critshe.momentengine import (
     diagram_contribution,
     semigroup_residual,
 )
-from critshe.simplexint import IntegrationPlan
+from critshe.simplexint import _QMC_CHUNK, IntegrationPlan
 
 F = ((1.0, (0.3, -0.2), 0.8),)
 F2 = ((0.6, (0.3, -0.2), 0.8), (0.4, (-1.0, 0.5), 0.8))
@@ -115,6 +115,18 @@ class TestDeterminismAndSeeds:
         c = correlation(req, threads=3)
         assert a.total == b.total == c.total
         assert a.contributions == b.contributions == c.contributions
+
+    def test_row_chunks_bit_identical_across_threads(self):
+        # n = 3 runs the 3 x 3 closed forms; 8 randomizations of 1024 points
+        # give each diagram more than one row chunk to spread over threads
+        plan = IntegrationPlan(mode="quasi-monte-carlo", samples=8192, seed=11)
+        assert plan.samples > _QMC_CHUNK
+        req = MomentRequest(n=3, t=1.0, beta_star=0.0, f=F, z_ic=Z, m_max=2, plan=plan)
+        with warnings.catch_warnings():
+            # two orders are no basis for the tail rule; not the subject here
+            warnings.simplefilter("ignore", NonconvergenceWarning)
+            runs = [correlation(req, threads=threads) for threads in (1, 2, 3)]
+        assert runs[0].contributions == runs[1].contributions == runs[2].contributions
 
     def test_contribution_seed_is_content_derived(self):
         # a diagram integrated alone matches its value inside the full sweep
