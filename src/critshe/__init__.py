@@ -13,6 +13,8 @@ their agreement as its core correctness argument:
   equation and a deterministic two-particle PDE oracle
   (:mod:`critshe.shesim`).
 
+Both routes take their test functions and initial data in one format,
+isotropic Gaussian mixtures normalized by :func:`critshe.gausscalc.mixture`.
 The command-line front end lives in :mod:`critshe.cli` (entry point
 ``critshe``).
 """
@@ -40,9 +42,10 @@ from .gausscalc import (
     apply_med,
     apply_out,
     inner_product,
+    mixture,
+    per_particle,
     product_state,
     second_moment_closed_form,
-    second_moment_kernel,
 )
 from .mollifier import (
     EULER_GAMMA,
@@ -65,7 +68,6 @@ from .momentengine import (
 from .shesim import (
     FieldParams,
     FieldState,
-    estimate_moment,
     initial_state,
     moment_time_series,
     noise_increment,
@@ -98,10 +100,11 @@ __all__ = [
     "beta_star", "CouplingSchedule", "EULER_GAMMA",
     # diagrams
     "DiagramIndex", "enumerate_diagrams", "count", "classify",
-    # Gaussian algebra
+    # Gaussian algebra and the mixture input format
+    "mixture", "per_particle",
     "GaussianMixtureState", "product_state", "apply_heat",
     "apply_in", "apply_out", "apply_med", "apply_J", "inner_product",
-    "second_moment_kernel", "second_moment_closed_form",
+    "second_moment_closed_form",
     # simplex integration
     "TimeVector", "IntegrationPlan", "integrate",
     # moment engine
@@ -109,5 +112,5 @@ __all__ = [
     "centered_third_moment", "semigroup_residual",
     # simulation
     "FieldParams", "FieldState", "initial_state", "step", "noise_increment",
-    "estimate_moment", "moment_time_series", "two_particle_oracle",
+    "moment_time_series", "two_particle_oracle",
 ]

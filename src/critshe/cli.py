@@ -15,6 +15,11 @@ with an error estimate or the tag "exact", and wall-clock timings.  With
 produce byte-identical envelopes.  Optional CSV tables use RFC 4180
 quoting.  Exit codes: 0 success, 2 invalid usage/config, 3 finished but
 with accuracy warnings, 4 numerical failure.
+
+Each subcommand declares its options once, one row each in ``_OPTIONS``:
+flag, config key, converter, default and admissible values.  The parser
+only collects raw strings; flag values and config-file values then pass
+through the same converter and choice check.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import os
 import sys
 import time
 import warnings
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .diagrams import classify, count, enumerate_diagrams
@@ -42,6 +48,7 @@ from .errors import (
     ParameterError,
     RankError,
 )
+from .gausscalc import mixture
 
 SCHEMA_VERSION = "1"
 
@@ -49,10 +56,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_WARNINGS = 3
 _EXIT_NUMERICAL = 4
-
-_DEFAULT_F = ((1.0, (0.0, 0.0), 0.5),)
-_DEFAULT_Z = ((1.0, (0.0, 0.0), 0.5),)
-
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -113,31 +116,127 @@ def _emit(envelope: dict, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one table row per option, one conversion for flags and
+# config-file values alike
 # ---------------------------------------------------------------------------
 
-def _parse_mixture(text, label: str):
-    """A mixture is JSON [[weight, [cx, cy], variance], ...]."""
-    if not isinstance(text, str):
-        data = text
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{label}: not valid JSON: {exc}") from exc
+def _number(kind, value, label: str):
+    """A number as ``kind`` converts its text; JSON booleans, lists and
+    objects are not numbers."""
+    if isinstance(value, (bool, list, dict)):
+        raise ParameterError(f"{label} needs a number, got {json.dumps(value)}")
     try:
-        mix = tuple((float(w), (float(c[0]), float(c[1])), float(v)) for w, c, v in data)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParameterError(
-            f"{label}: expected [[weight, [cx, cy], variance], ...], got {data!r}"
-        ) from exc
-    if not mix:
-        raise ParameterError(f"{label}: mixture must have at least one component")
-    return mix
+        return kind(str(value))
+    except ValueError:
+        raise ParameterError(f"{label}: invalid {kind.__name__} value {value!r}") from None
 
 
-def _mixture_json(mix) -> list:
-    return [[w, [cx, cy], v] for w, (cx, cy), v in mix]
+def _int(value, label: str) -> int:
+    return _number(int, value, label)
+
+
+def _float(value, label: str) -> float:
+    return _number(float, value, label)
+
+
+def _text(value, label: str) -> str:
+    """A string (a path or a name): a number would be opened as a file
+    descriptor."""
+    if not isinstance(value, str):
+        raise ParameterError(f"{label} needs a string, got {json.dumps(value)}")
+    return value
+
+
+def _bool(value, label: str) -> bool:
+    """A switch: True from its flag, a JSON boolean from a config file."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"{label} needs true or false, got {json.dumps(value)}")
+    return value
+
+
+def _mixture(value, label: str):
+    """A mixture as JSON text (a flag) or JSON data (a config file)."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{label}: not valid JSON: {exc}") from None
+    return mixture(value, label)
+
+
+def _times(value, label: str) -> list:
+    """Recording times: comma-separated text or a JSON list of numbers."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, list):
+        raise ParameterError(f"{label} needs comma-separated numbers, got {json.dumps(value)}")
+    return [_float(v, label) for v in value]
+
+
+class _Opt(NamedTuple):
+    """One option: its flag, its config key (dest), the converter of its
+    raw value, its default and its admissible values (empty: any)."""
+
+    flag: str
+    dest: str
+    convert: Callable
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+
+
+_UNIT_GAUSSIAN = ((1.0, (0.0, 0.0), 0.5),)
+_MOLLIFIER = _Opt("--mollifier", "mollifier", _text, "bump", ("bump",))
+_F = _Opt("--f", "f", _mixture, _UNIT_GAUSSIAN,
+          help="test-function mixture JSON [[weight,[cx,cy],variance],...]")
+_Z = _Opt("--z-ic", "z_ic", _mixture, _UNIT_GAUSSIAN, help="initial-condition mixture JSON")
+_SEED = _Opt("--seed", "seed", _int, 2026)
+_COMMON = (
+    _Opt("--config", "config", _text,
+         help="JSON config file; command-line flags take precedence"),
+    _Opt("--output", "output", _text, help="envelope path ('-' or omitted: stdout)"),
+    _Opt("--csv", "csv_path", _text, help="optional CSV table path"),
+    _Opt("--threads", "threads", _int,
+         help="worker threads (default: CRITSHE_THREADS or all cores)"),
+    _Opt("--stable-output", "stable_output", _bool, False,
+         help="zero the timing fields for byte-identical envelopes"),
+)
+
+_OPTIONS = {
+    "moment": (
+        _Opt("--n", "n", _int),
+        _Opt("--t", "t", _float),
+        _Opt("--beta-star", "beta_star", _float),
+        _Opt("--beta0", "beta0", _float),
+        _MOLLIFIER, _F, _Z,
+        _Opt("--m-max", "m_max", _int, 6),
+        _Opt("--mode", "mode", _text, "adaptive-quadrature",
+             ("adaptive-quadrature", "monte-carlo", "quasi-monte-carlo")),
+        _Opt("--samples", "samples", _int, 65536),
+        _Opt("--rel-tol", "rel_tol", _float, 1e-3),
+        _SEED, *_COMMON,
+    ),
+    "simulate": (
+        _Opt("--n", "n", _int, 2),
+        _Opt("--epsilon", "epsilon", _float),
+        _Opt("--beta0", "beta0", _float, 0.0),
+        _MOLLIFIER,
+        _Opt("--grid", "grid", _int, 256),
+        _Opt("--domain", "domain", _float, 8.0),
+        _Opt("--dt", "dt", _float),
+        _Opt("--replicas", "replicas", _int, 2000),
+        _Opt("--times", "times", _times, help="comma-separated recording times"),
+        _F, _Z, _SEED, *_COMMON,
+    ),
+    "diagrams": (
+        _Opt("--n", "n", _int),
+        _Opt("--m", "m", _int),
+        _Opt("--count", "count_only", _bool, False, help="emit the count only, no listing"),
+        *_COMMON,
+    ),
+    "verify": (_Opt("--suite", "suite", _text, "identities", ("identities",)), *_COMMON),
+    "betaconst": (_MOLLIFIER, _Opt("--beta0", "beta0", _float, 0.0), *_COMMON),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -153,80 +252,42 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_COMMON_DEFAULTS = {
-    "config": None,
-    "output": None,
-    "csv_path": None,
-    "threads": None,
-    "stable_output": False,
-}
-
-_DEFAULTS = {
-    "moment": {
-        "n": None, "t": None, "beta_star": None, "beta0": None,
-        "mollifier": "bump",
-        "f": json.dumps(_mixture_json(_DEFAULT_F)),
-        "z_ic": json.dumps(_mixture_json(_DEFAULT_Z)),
-        "m_max": 6, "mode": "adaptive-quadrature", "samples": 65536,
-        "rel_tol": 1e-3, "seed": 2026, **_COMMON_DEFAULTS,
-    },
-    "simulate": {
-        "n": 2, "epsilon": None, "beta0": 0.0, "mollifier": "bump",
-        "grid": 256, "domain": 8.0, "dt": None, "replicas": 2000,
-        "times": None,
-        "f": json.dumps(_mixture_json(_DEFAULT_F)),
-        "z_ic": json.dumps(_mixture_json(_DEFAULT_Z)),
-        "seed": 2026, **_COMMON_DEFAULTS,
-    },
-    "diagrams": {"n": None, "m": None, "count_only": False, **_COMMON_DEFAULTS},
-    "verify": {"suite": "identities", **_COMMON_DEFAULTS},
-    "betaconst": {"mollifier": "bump", "beta0": 0.0, **_COMMON_DEFAULTS},
-}
-
-
-def _from_config(key: str, value, kind):
-    """A config-file value converted as its flag's argparse ``type`` would
-    convert it on the command line; JSON null leaves the option unset."""
-    if kind is None or value is None:
-        return value
-    if kind is str:  # a path; a number would be opened as a file descriptor
-        if not isinstance(value, str):
-            raise ParameterError(
-                f"config key {key!r} needs a path string, got {json.dumps(value)}"
-            )
-        return value
-    if isinstance(value, (bool, list, dict)):
-        raise ParameterError(f"config key {key!r} needs a number, got {json.dumps(value)}")
-    try:
-        return kind(str(value))
-    except ValueError:
-        raise ParameterError(f"config key {key!r}: invalid {kind.__name__} value {value!r}") from None
-
-
-def _resolve(command: str, given: dict, types: dict) -> dict:
+def _resolve(command: str, given: dict) -> dict:
     """Merge precedence: command line > config file > built-in defaults.
 
-    ``given`` holds only what was explicitly passed (the parser suppresses
-    everything else); the config file may not introduce unknown keys, and
-    its values pass through the flags' ``types`` (dest -> argparse type).
+    ``given`` holds only what was explicitly passed, as the parser's raw
+    strings (it suppresses everything else); the config file may not
+    introduce unknown keys.  Every value, whatever its source, then passes
+    through its option's converter and choices.  None (JSON null) is the
+    unset value of an option whose default is None.
     """
-    defaults = _DEFAULTS[command]
-    merged = dict(defaults)
-    config_path = given.get("config")
-    if config_path:
-        file_cfg = _load_config_file(config_path)
-        unknown = set(file_cfg) - set(defaults)
+    options = {opt.dest: opt for opt in _OPTIONS[command]}
+    raw = {dest: (opt.default, opt.flag) for dest, opt in options.items()}
+    if given.get("config"):
+        file_cfg = _load_config_file(given["config"])
+        unknown = set(file_cfg) - set(options)
         if unknown:
             raise ParameterError(
-                f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}"
+                f"unknown config keys {sorted(unknown)}; valid: {sorted(options)}"
             )
-        merged.update({k: _from_config(k, v, types.get(k)) for k, v in file_cfg.items()})
-    merged.update({k: v for k, v in given.items() if k not in ("config", "func", "command")})
-    return merged
+        raw.update({k: (v, f"config key {k!r}") for k, v in file_cfg.items()})
+    raw.update({k: (v, options[k].flag) for k, v in given.items()
+                if k in options and k != "config"})
+    cfg = {}
+    for dest, (value, label) in raw.items():
+        opt = options[dest]
+        if value is not None or opt.default is not None:
+            value = opt.convert(value, label)
+            if opt.choices and value not in opt.choices:
+                raise ParameterError(
+                    f"{label}: invalid choice {value!r}; available: {', '.join(opt.choices)}"
+                )
+        cfg[dest] = value
+    return cfg
 
 
 def _threads(cfg: dict) -> int:
-    t = cfg.get("threads")
+    t = cfg["threads"]
     if t is None:
         env = os.environ.get("CRITSHE_THREADS")
         try:
@@ -239,22 +300,28 @@ def _threads(cfg: dict) -> int:
 
 
 def _require(cfg: dict, *keys) -> None:
-    missing = [k for k in keys if cfg.get(k) is None]
+    missing = [k for k in keys if cfg[k] is None]
     if missing:
         raise ParameterError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _beta_star_of(cfg: dict) -> float:
-    """beta_star directly, or derived from (mollifier, beta0)."""
-    if cfg.get("beta_star") is not None:
-        return float(cfg["beta_star"])
+def _bump_constants(beta0: float):
+    """(pair profile, beta_phi, beta_star) of the bump mollifier, the one
+    the --mollifier choices admit."""
     from .mollifier import Mollifier, beta_phi, beta_star, pair_profile
 
-    if cfg.get("beta0") is None:
+    profile = pair_profile(Mollifier.bump())
+    bphi = beta_phi(profile)
+    return profile, bphi, beta_star(beta0, bphi).value
+
+
+def _beta_star_of(cfg: dict) -> float:
+    """beta_star directly, or derived from (mollifier, beta0)."""
+    if cfg["beta_star"] is not None:
+        return cfg["beta_star"]
+    if cfg["beta0"] is None:
         raise ParameterError("need either --beta-star or --beta0 (with --mollifier)")
-    if cfg.get("mollifier", "bump") != "bump":
-        raise ParameterError(f"unknown mollifier {cfg.get('mollifier')!r}; available: bump")
-    return beta_star(float(cfg["beta0"]), beta_phi(pair_profile(Mollifier.bump()))).value
+    return _bump_constants(cfg["beta0"])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +333,13 @@ def _cmd_moment(cfg: dict, timings: dict) -> tuple[dict, list, list]:
     from .simplexint import IntegrationPlan
 
     _require(cfg, "n", "t")
-    f = _parse_mixture(cfg["f"], "--f")
-    z = _parse_mixture(cfg["z_ic"], "--z-ic")
-    cfg["f"], cfg["z_ic"] = _mixture_json(f), _mixture_json(z)
     bstar = _beta_star_of(cfg)
     plan = IntegrationPlan(
-        mode=cfg["mode"], samples=int(cfg["samples"]),
-        rel_tol=float(cfg["rel_tol"]), seed=int(cfg["seed"]),
+        mode=cfg["mode"], samples=cfg["samples"], rel_tol=cfg["rel_tol"], seed=cfg["seed"],
     )
     req = MomentRequest(
-        n=int(cfg["n"]), t=float(cfg["t"]), beta_star=bstar,
-        f=(f,), z_ic=z, m_max=int(cfg["m_max"]), plan=plan,
+        n=cfg["n"], t=cfg["t"], beta_star=bstar,
+        f=cfg["f"], z_ic=cfg["z_ic"], m_max=cfg["m_max"], plan=plan,
     )
     t0 = time.perf_counter()
     res = correlation(req, threads=_threads(cfg))
@@ -309,29 +372,15 @@ def _cmd_simulate(cfg: dict, timings: dict) -> tuple[dict, list, list]:
     from .shesim import FieldParams, moment_time_series
 
     _require(cfg, "epsilon", "times")
-    if cfg.get("mollifier", "bump") != "bump":
-        raise ParameterError(f"unknown mollifier {cfg.get('mollifier')!r}; available: bump")
-    eps = float(cfg["epsilon"])
-    be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=float(cfg["beta0"])))
+    eps = cfg["epsilon"]
+    be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=cfg["beta0"]))
     params = FieldParams(
-        epsilon=eps, beta_eps=be, domain=float(cfg["domain"]),
-        n_grid=int(cfg["grid"]), phi=Mollifier.bump(),
+        epsilon=eps, beta_eps=be, domain=cfg["domain"], n_grid=cfg["grid"], phi=Mollifier.bump(),
     )
-    times_in = cfg["times"]
-    try:
-        times = [float(s) for s in (times_in.split(",") if isinstance(times_in, str) else times_in)]
-    except (TypeError, ValueError):
-        raise ParameterError(f"--times: expected comma-separated numbers, got {times_in!r}") from None
-    cfg["times"] = times
-    f = _parse_mixture(cfg["f"], "--f")
-    z = _parse_mixture(cfg["z_ic"], "--z-ic")
-    cfg["f"], cfg["z_ic"] = _mixture_json(f), _mixture_json(z)
     t0 = time.perf_counter()
     ts, est, se = moment_time_series(
-        int(cfg["n"]), times, f, z, params,
-        replicas=int(cfg["replicas"]), seed=int(cfg["seed"]),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        threads=_threads(cfg),
+        cfg["n"], cfg["times"], cfg["f"], cfg["z_ic"], params,
+        replicas=cfg["replicas"], seed=cfg["seed"], dt=cfg["dt"], threads=_threads(cfg),
     )
     timings["simulation_seconds"] = time.perf_counter() - t0
     results = {
@@ -348,7 +397,7 @@ def _cmd_simulate(cfg: dict, timings: dict) -> tuple[dict, list, list]:
 
 def _cmd_diagrams(cfg: dict, timings: dict) -> tuple[dict, list, list]:
     _require(cfg, "n", "m")
-    n, m = int(cfg["n"]), int(cfg["m"])
+    n, m = cfg["n"], cfg["m"]
     t0 = time.perf_counter()
     total = count(n, m)
     results: dict = {"count": {"value": total, "error": "exact"}}
@@ -372,20 +421,16 @@ def _cmd_diagrams(cfg: dict, timings: dict) -> tuple[dict, list, list]:
 
 
 def _cmd_betaconst(cfg: dict, timings: dict) -> tuple[dict, list, list]:
-    from .mollifier import EULER_GAMMA, Mollifier, beta_phi, beta_star, pair_profile
-
-    if cfg.get("mollifier", "bump") != "bump":
-        raise ParameterError(f"unknown mollifier {cfg.get('mollifier')!r}; available: bump")
-    t0 = time.perf_counter()
-    profile = pair_profile(Mollifier.bump())
-    bphi = beta_phi(profile)
-    bstar = beta_star(float(cfg["beta0"]), bphi).value
-    timings["constants_seconds"] = time.perf_counter() - t0
     import numpy as np
 
+    from .mollifier import EULER_GAMMA
+
+    t0 = time.perf_counter()
+    profile, bphi, bstar = _bump_constants(cfg["beta0"])
+    timings["constants_seconds"] = time.perf_counter() - t0
     results = {
         "mollifier": "bump",
-        "beta0": {"value": float(cfg["beta0"]), "error": "exact"},
+        "beta0": {"value": cfg["beta0"], "error": "exact"},
         "euler_gamma": {"value": EULER_GAMMA, "error": "exact"},
         "pair_profile_at_zero": {"value": float(profile(np.asarray(0.0))), "error": 1e-12},
         "beta_phi": {"value": bphi, "error": 1e-10},
@@ -442,8 +487,6 @@ def _verify_identities() -> list[dict]:
 
 
 def _cmd_verify(cfg: dict, timings: dict) -> tuple[dict, list, list]:
-    if cfg["suite"] != "identities":
-        raise ParameterError(f"unknown suite {cfg['suite']!r}; available: identities")
     t0 = time.perf_counter()
     checks = _verify_identities()
     timings["suite_seconds"] = time.perf_counter() - t0
@@ -464,14 +507,13 @@ def _cmd_verify(cfg: dict, timings: dict) -> tuple[dict, list, list]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, help="JSON config file; command-line flags take precedence")
-    p.add_argument("--output", type=str, help="envelope path ('-' or omitted: stdout)")
-    p.add_argument("--csv", type=str, dest="csv_path", help="optional CSV table path")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default: CRITSHE_THREADS or all cores)")
-    p.add_argument("--stable-output", action="store_true",
-                   help="zero the timing fields for byte-identical envelopes")
+_COMMANDS = {
+    "moment": ("limiting correlation functional", _cmd_moment),
+    "simulate": ("mollified-SHE Monte Carlo moments", _cmd_simulate),
+    "diagrams": ("diagram enumeration and counting", _cmd_diagrams),
+    "verify": ("identity-check suites", _cmd_verify),
+    "betaconst": ("mollifier constants beta_phi and beta_star", _cmd_betaconst),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,74 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # All option defaults are suppressed: the namespace holds only what the
-    # user typed, and _resolve fills in _DEFAULTS (letting a config file sit
-    # between the two).
-    p = sub.add_parser("moment", help="limiting correlation functional",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--beta-star", dest="beta_star", type=float)
-    p.add_argument("--beta0", type=float)
-    p.add_argument("--mollifier")
-    p.add_argument("--f", help='mixture JSON [[weight,[cx,cy],variance],...]')
-    p.add_argument("--z-ic", dest="z_ic", help="initial-condition mixture JSON")
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--mode",
-                   choices=["adaptive-quadrature", "monte-carlo", "quasi-monte-carlo"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("simulate", help="mollified-SHE Monte Carlo moments",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--beta0", type=float)
-    p.add_argument("--mollifier")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--domain", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--times", help="comma-separated recording times")
-    p.add_argument("--f", help='mixture JSON [[weight,[cx,cy],variance],...]')
-    p.add_argument("--z-ic", dest="z_ic", help="initial-condition mixture JSON")
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("diagrams", help="diagram enumeration and counting",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--count", dest="count_only", action="store_true",
-                   help="emit the count only, no listing")
-    _add_common(p)
-    p.set_defaults(func=_cmd_diagrams)
-
-    p = sub.add_parser("verify", help="identity-check suites",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("betaconst", help="mollifier constants beta_phi and beta_star",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--mollifier")
-    p.add_argument("--beta0", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_betaconst)
-
+    # The namespace holds only what the user typed, as raw strings: _resolve
+    # converts it and fills in the defaults, letting a config file sit
+    # between the two.
+    for command, (help_text, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for opt in _OPTIONS[command]:
+            if opt.convert is _bool:
+                p.add_argument(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=opt.dest, help=opt.help)
+        p.set_defaults(func=func)
     return parser
-
-
-def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse ``type`` for every option of ``command``."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a.type for a in sub.choices[command]._actions}
 
 
 def run(argv=None) -> int:
@@ -559,7 +545,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args.command, vars(args), _option_types(parser, args.command))
+        cfg = _resolve(args.command, vars(args))
     except CritSheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -581,14 +567,13 @@ def run(argv=None) -> int:
     timings["total_seconds"] = time.perf_counter() - t_start
     accuracy_warnings = [w for w in caught
                          if issubclass(w.category, (AccuracyWarning, NonconvergenceWarning))]
-    if cfg.get("stable_output"):
+    if cfg["stable_output"]:
         timings = {k: 0.0 for k in timings}
     exit_code = int(results.pop("_exit_override", _EXIT_OK)) or (
         _EXIT_WARNINGS if accuracy_warnings else _EXIT_OK
     )
 
-    config_echo = {k: v for k, v in cfg.items()
-                   if k not in ("output", "csv_path", "stable_output", "func")}
+    config_echo = {k: v for k, v in cfg.items() if k not in ("output", "csv_path", "stable_output")}
     config_echo["command"] = args.command
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -600,9 +585,9 @@ def run(argv=None) -> int:
         "warnings": sorted(str(w.message) for w in accuracy_warnings),
     }
     try:  # CSV first: a CSV that cannot be written leaves no envelope behind
-        if cfg.get("csv_path"):
+        if cfg["csv_path"]:
             _write_csv(cfg["csv_path"], header, rows)
-        _emit(envelope, cfg.get("output"))
+        _emit(envelope, cfg["output"])
     except CritSheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

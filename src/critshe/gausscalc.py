@@ -21,6 +21,11 @@ The five maps are:
 * apply_J        — the interaction step: variance t/2 on the merged slot,
                    t elsewhere, all weights times 4 pi j(t, beta_star).
 
+Input data enter as mixtures of isotropic planar Gaussians, the one format
+shared by the moment engine, the simulator, the oracle and the command line:
+``mixture`` checks and normalizes one mixture, ``per_particle`` expands a
+test-function argument into one mixture per particle.
+
 Slot convention: after a contraction at (i, j) the merged variable is stored
 in slot 0 and the surviving particles follow in increasing label order.
 
@@ -39,6 +44,7 @@ maps address single slots and matrix entries.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import product as _iter_product
@@ -51,6 +57,9 @@ from .errors import AccuracyWarning, DomainError, ParameterError, RankError
 from .specfun import _beta_value, bessel_k0, jfn_times_t
 
 __all__ = [
+    "Mixture",
+    "mixture",
+    "per_particle",
     "GaussianMixtureState",
     "heat2d",
     "product_state",
@@ -62,7 +71,6 @@ __all__ = [
     "squeezed_heat",
     "inner_product",
     "evaluate",
-    "second_moment_kernel",
     "second_moment_closed_form",
     "bessel_identity_residual",
 ]
@@ -70,6 +78,55 @@ __all__ = [
 # Condition number to which the repair of a singular covariance batch clips
 # the eigenvalues.
 _COND_LIMIT = 1.0e12
+
+
+Mixture = tuple[tuple[float, tuple[float, float], float], ...]
+
+
+def mixture(data, label: str = "mixture") -> Mixture:
+    """The canonical ((weight, (cx, cy), variance), ...) form of ``data``.
+
+    ``data`` is any sequence of (weight, (cx, cy), variance) components,
+    tuples or lists alike; each entry must convert to a finite float and
+    each variance must be positive.  Violations raise DomainError naming
+    ``label``.
+    """
+    try:
+        out = tuple((float(w), (float(cx), float(cy)), float(var)) for w, (cx, cy), var in data)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(
+            f"{label}: expected [[weight, [cx, cy], variance], ...], got {data!r}"
+        ) from None
+    if not out:
+        raise DomainError(f"{label}: a mixture needs at least one component")
+    for w, (cx, cy), var in out:
+        if not all(map(math.isfinite, (w, cx, cy, var))):
+            raise DomainError(f"{label}: mixture component has non-finite entries: {data!r}")
+        if var <= 0.0:
+            raise DomainError(f"{label}: mixture variances must be positive, got {var}")
+    return out
+
+
+def per_particle(f, n: int, label: str = "f") -> tuple[Mixture, ...]:
+    """n per-particle mixtures from ``f``: either one mixture, shared by all
+    n particles, or a sequence of mixtures (n of them, or one to share).
+
+    ``f`` is one mixture when its first component starts with a number
+    (the weight); a sequence of mixtures starts with a component instead.
+    """
+    try:
+        bare = isinstance(f[0][0], numbers.Real)
+    except (TypeError, IndexError, KeyError):
+        bare = True  # malformed: mixture() names the problem
+    if bare:
+        mixes = (mixture(f, label),)
+    else:
+        mixes = tuple(mixture(mix, f"{label}[{i}]") for i, mix in enumerate(f))
+    if len(mixes) == 1:
+        mixes *= n
+    if len(mixes) != n:
+        raise DomainError(f"{label}: need {n} test mixtures (or one to share), got {len(mixes)}")
+    return mixes
 
 
 @dataclass(frozen=True)
@@ -464,97 +521,15 @@ def bessel_identity_residual(tau: float, r_d: float, r_dp: float) -> float:
     return abs(lhs - rhs)
 
 
-def _interaction_kernel_direct(t: float, r_d: float, r_dp: float, b: float) -> float:
-    """int over the 1-simplex of rho(2 tau0, r_d) 4 pi j(sigma) rho(2 tau1, r_dp),
-    by log-endpoint quadrature in the interaction time sigma and a
-    boundary-layer-resolving rule in tau0."""
-    log_sigma, w_sigma = log_endpoint_rule_scaled(t, 72)
-    jw = 4.0 * math.pi * jfn_times_t(log_sigma, b)
-    total = 0.0
-    sigma = np.exp(log_sigma)
-    for ls, ws_, jv, sg in zip(log_sigma, w_sigma, jw, sigma):
-        rem = t - sg  # tau0 + tau1 budget left
-        if rem <= 0.0:
-            continue
-        s, comp, w = split_exp_rule(rem, 12)
-        inner = np.sum(
-            w
-            * np.exp(-r_d * r_d / (4.0 * s)) / (4.0 * math.pi * s)
-            * np.exp(-r_dp * r_dp / (4.0 * comp)) / (4.0 * math.pi * comp)
-        )
-        total += ws_ * jv * float(inner)
-    return total
-
-
-def _interaction_kernel_bessel(t: float, r_d: float, r_dp: float, b: float) -> float:
-    """Same integral with the inner simplex coordinate collapsed by the
-    closed-form Bessel identity, leaving one log-endpoint quadrature."""
-    log_sigma, w_sigma = log_endpoint_rule_scaled(t, 96)
-    sigma = np.exp(log_sigma)
-    rem = t - sigma
-    good = rem > 0.0
-    jw = 4.0 * math.pi * jfn_times_t(log_sigma[good], b)
-    arg = r_d * r_dp / (2.0 * rem[good])
-    k0 = bessel_k0(arg)
-    vals = (
-        np.exp(-(r_d * r_d + r_dp * r_dp) / (4.0 * rem[good]))
-        * k0
-        / (8.0 * math.pi**2 * rem[good])
-    )
-    return float(np.sum(w_sigma[good] * jw * vals))
-
-
-def second_moment_kernel(
-    t: float,
-    x_c,
-    x_d,
-    x_cp,
-    x_dp,
-    beta_star,
-    route: str = "bessel",
-) -> float:
-    """The two-particle limit kernel in center-of-mass/relative coordinates.
-
-    rho(t/2, x_c - x_c') * [ rho(2t, x_d - x_d') + interaction ], where the
-    interaction integrates rho(2 tau0, x_d) 4 pi j(sigma) rho(2 tau1, x_d')
-    over the time simplex tau0 + sigma + tau1 = t.  ``route`` selects the
-    direct two-dimensional time quadrature or the one-dimensional reduction
-    through the K0 closed form; the two agree to quadrature accuracy and are
-    cross-checked in the test suite.
-    """
-    if t <= 0.0:
-        raise DomainError(f"kernel needs t > 0, got {t}")
-    b = _beta_value(beta_star)
-    x_c = np.asarray(x_c, dtype=float)
-    x_d = np.asarray(x_d, dtype=float)
-    x_cp = np.asarray(x_cp, dtype=float)
-    x_dp = np.asarray(x_dp, dtype=float)
-    r_d = float(np.hypot(*x_d))
-    r_dp = float(np.hypot(*x_dp))
-    if r_d == 0.0 or r_dp == 0.0:
-        raise DomainError("relative coordinates must be nonzero (kernel log-divergence)")
-    com = heat2d(t / 2.0, x_c - x_cp)
-    free = heat2d(2.0 * t, x_d - x_dp)
-    if route == "bessel":
-        inter = _interaction_kernel_bessel(t, r_d, r_dp, b)
-    elif route == "direct":
-        inter = _interaction_kernel_direct(t, r_d, r_dp, b)
-    else:
-        raise ParameterError(f"unknown route {route!r}; use 'bessel' or 'direct'")
-    return com * (free + inter)
-
-
-def _shared_variance(mix, label: str) -> float:
-    vs = {float(comp[2]) for comp in mix}
+def _shared_variance(mix: Mixture, label: str) -> float:
+    """The one variance shared by every component of a normalized mixture."""
+    vs = {var for _, _, var in mix}
     if len(vs) != 1:
         raise ParameterError(
             f"{label} components must share one isotropic variance for the "
             f"center-of-mass/relative factorization, got {sorted(vs)}"
         )
-    v = vs.pop()
-    if v <= 0.0:
-        raise DomainError(f"{label} variance must be positive, got {v}")
-    return v
+    return vs.pop()
 
 
 def second_moment_closed_form(t: float, beta_star, f1, f2, z) -> float:
@@ -577,7 +552,8 @@ def second_moment_closed_form(t: float, beta_star, f1, f2, z) -> float:
     if t <= 0.0:
         raise DomainError(f"closed form needs t > 0, got {t}")
     b = _beta_value(beta_star)
-    s_f = _shared_variance(list(f1) + list(f2), "test-function")
+    f1, f2, z = mixture(f1, "f1"), mixture(f2, "f2"), mixture(z, "z")
+    s_f = _shared_variance(f1 + f2, "test-function")
     s_z = _shared_variance(z, "initial-datum")
     log_sigma, w_sigma = log_endpoint_rule_scaled(t, 72)
     sigma = np.exp(log_sigma)

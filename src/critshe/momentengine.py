@@ -58,25 +58,6 @@ _FOUR_PI = 4.0 * math.pi
 _TINY_TIME = 1e-300          # heat-time floor: an exact zero duration is a no-op
 _DECAY_LIMIT = 0.7           # per-order ratio beyond which no total is trusted
 
-Mixture = tuple[tuple[float, tuple[float, float], float], ...]
-
-
-def _as_mixture(mix) -> Mixture:
-    out = []
-    for comp in mix:
-        w, center, var = comp
-        cx, cy = center
-        w, cx, cy, var = float(w), float(cx), float(cy), float(var)
-        if not all(map(math.isfinite, (w, cx, cy, var))):
-            raise DomainError(f"mixture component has non-finite entries: {comp}")
-        if var <= 0.0:
-            raise DomainError(f"mixture variances must be positive, got {var}")
-        out.append((w, (cx, cy), var))
-    if not out:
-        raise DomainError("a mixture needs at least one component")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MomentRequest:
     """Everything needed for one correlation functional.
@@ -85,14 +66,15 @@ class MomentRequest:
     mixture reused for every particle); ``z_ic`` is the initial-condition
     mixture shared by all particles.  Mixture components are
     (weight, (center_x, center_y), variance) with the unit-mass Gaussian
-    normalization.
+    normalization; both fields are stored in the canonical form of
+    ``gausscalc.per_particle`` and ``gausscalc.mixture``.
     """
 
     n: int
     t: float
     beta_star: float
-    f: tuple[Mixture, ...]
-    z_ic: Mixture
+    f: tuple[gc.Mixture, ...]
+    z_ic: gc.Mixture
     m_max: int = 6
     plan: IntegrationPlan = IntegrationPlan()
 
@@ -103,16 +85,8 @@ class MomentRequest:
             raise DomainError(f"time must be positive and finite, got {self.t}")
         if not isinstance(self.m_max, int) or self.m_max < 1:
             raise DomainError(f"m_max must be an integer >= 1, got {self.m_max}")
-        f = self.f
-        if f and isinstance(f[0], tuple) and f[0] and isinstance(f[0][0], (int, float)):
-            f = (f,)  # a single bare mixture was passed
-        f = tuple(_as_mixture(mix) for mix in f)
-        if len(f) == 1:
-            f = f * self.n
-        if len(f) != self.n:
-            raise DomainError(f"need {self.n} test mixtures (or one to share), got {len(f)}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "z_ic", _as_mixture(self.z_ic))
+        object.__setattr__(self, "f", gc.per_particle(self.f, self.n, "f"))
+        object.__setattr__(self, "z_ic", gc.mixture(self.z_ic, "z_ic"))
         object.__setattr__(self, "beta_star", _beta_value(self.beta_star))
 
 
@@ -319,49 +293,40 @@ def _dd_value(
     beta = req.beta_star
     ls_r, ws_r = log_endpoint_rule_scaled(t - s, n_sigma)
     ls_l, ws_l = log_endpoint_rule_scaled(s, n_sigma)
+    jw_r = _FOUR_PI * jfn_times_t(ls_r, beta)
+    jw_l = _FOUR_PI * jfn_times_t(ls_l, beta)
+    # right-simplex tensor block (sigma_R, tau0), shared by every left node
+    rem_r = (t - s) - np.exp(ls_r)
+    rules = [log_endpoint_rule(rr, n_reg) for rr in rem_r]  # (tau0, _, weights)
+    b = n_sigma * n_reg * n_reg
+    T1 = np.concatenate([np.repeat(rr - tau0, n_reg) for rr, (tau0, _, _) in zip(rem_r, rules)])
+    SR = np.concatenate([np.full(n_reg * n_reg, math.exp(lsr)) for lsr in ls_r])
+    TAU0 = np.concatenate([np.repeat(tau0, n_reg) for tau0, _, _ in rules])
+    W_R = np.concatenate([wsr * jv * np.repeat(wt0, n_reg)
+                          for wsr, jv, (_, _, wt0) in zip(ws_r, jw_r, rules)])
+    state_r = gc.product_state([list(req.z_ic)] * 2, batch=b)
+    state_r = gc.apply_in(state_r, (1, 2), np.maximum(T1, _TINY_TIME))
+    state_r = gc.squeezed_heat(state_r, SR)
+    f_state = gc.product_state([list(mix) for mix in req.f], batch=b)
     total = 0.0
-    for lsl, wsl in zip(ls_l, ws_l):
+    for lsl, wsl, jvl in zip(ls_l, ws_l, jw_l):
         rem_l = s - math.exp(lsl)
         u1, _, wu1 = log_endpoint_rule(rem_l, n_reg)
         u0 = rem_l - u1
-        # right-simplex tensor block: (sigma_R, tau0) x this left sigma node
-        sig_r = np.exp(ls_r)
-        rem_r = (t - s) - sig_r
-        blocks = []
-        for lsr, wsr, rr in zip(ls_r, ws_r, rem_r):
-            tau0, _, wt0 = log_endpoint_rule(rr, n_reg)
-            tau1 = rr - tau0
-            blocks.append((lsr, wsr, tau0, wt0, tau1))
-        b = n_sigma * n_reg * n_reg
-        T1 = np.concatenate([np.repeat(bl[4], n_reg) for bl in blocks])
-        SR = np.concatenate([np.full(n_reg * n_reg, math.exp(bl[0])) for bl in blocks])
-        WMID = np.maximum(
-            np.concatenate([np.repeat(bl[2], n_reg) for bl in blocks]) + np.tile(u1, n_sigma * n_reg),
-            _TINY_TIME,
-        )
+        WMID = np.maximum(TAU0 + np.tile(u1, n_sigma * n_reg), _TINY_TIME)
         U0 = np.tile(u0, n_sigma * n_reg)
         # the heat block between the two merges is the equal-pair link
         # S P_w S* = (4 pi w)^-1 squeezed_heat(., w), folded in exactly
-        WEIGHT = (
-            np.concatenate(
-                [bl[1] * (_FOUR_PI * jfn_times_t(np.full(1, bl[0]), beta))[0] * np.repeat(bl[3], n_reg) for bl in blocks]
-            )
-            * np.tile(wu1, n_sigma * n_reg)
-            / (_FOUR_PI * WMID)
-        )
-        state = gc.product_state([list(req.z_ic)] * 2, batch=b)
-        state = gc.apply_in(state, (1, 2), np.maximum(T1, _TINY_TIME))
-        state = gc.squeezed_heat(state, SR)
-        state = gc.squeezed_heat(state, WMID)
+        WEIGHT = W_R * np.tile(wu1, n_sigma * n_reg) / (_FOUR_PI * WMID)
+        state = gc.squeezed_heat(state_r, WMID)
         state = gc.squeezed_heat(state, np.full(b, math.exp(lsl)))
         state = gc.apply_out(state, (1, 2), np.maximum(U0, _TINY_TIME))
-        f_state = gc.product_state([list(mix) for mix in req.f], batch=b)
         vals = gc.inner_product(f_state, state)
-        total += wsl * (_FOUR_PI * jfn_times_t(np.full(1, lsl), beta))[0] * float(np.sum(WEIGHT * vals))
+        total += wsl * jvl * float(np.sum(WEIGHT * vals))
     return total
 
 
-def _heated(mix: Mixture, dt: float) -> Mixture:
+def _heated(mix: gc.Mixture, dt: float) -> gc.Mixture:
     """P_dt applied to a mixture: every variance grows by dt."""
     return tuple((w, c, var + dt) for w, c, var in mix)
 

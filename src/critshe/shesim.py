@@ -21,6 +21,8 @@ exact spectral diffusion and exact pointwise potential flow; the
 center-of-mass factor is a single analytic heat kernel.  Both routes are
 pre-limit objects at fixed eps: their agreement validates the simulator,
 and their trend in eps is what approaches the limiting moment engine.
+Test functions and initial data are Gaussian mixtures, checked and
+normalized by ``gausscalc.mixture`` as for the moment engine.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import numpy as np
 
 from ._rng import stream
 from .errors import BlowupError, DomainError, ParameterError
-from .gausscalc import _shared_variance
+from .gausscalc import _shared_variance, mixture, per_particle
 from .mollifier import Mollifier, pair_profile
-from .momentengine import _as_mixture
 
 __all__ = [
     "FieldParams",
@@ -44,7 +45,6 @@ __all__ = [
     "initial_state",
     "noise_increment",
     "step",
-    "estimate_moment",
     "moment_time_series",
     "two_particle_oracle",
 ]
@@ -125,7 +125,7 @@ def _min_image_sq(params_or_pair, center=(0.0, 0.0)):
 def sample_mixture(mix, domain: float, n_grid: int) -> np.ndarray:
     """A Gaussian mixture periodized onto the grid (nearest image only;
     the torus must dominate the mixture widths for this to be accurate)."""
-    mix = _as_mixture(mix)
+    mix = mixture(mix)
     out = np.zeros((n_grid, n_grid))
     for w, center, var in mix:
         r2 = _min_image_sq((domain, n_grid), center)
@@ -194,12 +194,6 @@ def step(state: FieldState, dt: float, rng) -> FieldState:
     return FieldState(grid=grid, time=state.time + dt, params=params, step_index=state.step_index + 1)
 
 
-def grid_inner(mix, grid: np.ndarray, params: FieldParams) -> float:
-    """<f, Z> by the grid Riemann sum h^2 * sum f(x) Z(x)."""
-    f_vals = sample_mixture(mix, params.domain, params.n_grid)
-    return float(params.spacing**2 * np.sum(f_vals * grid))
-
-
 def _segment_steps(t0: float, t1: float, dt_max: float) -> tuple[int, float]:
     n = max(1, math.ceil((t1 - t0) / dt_max - 1e-9))
     return n, (t1 - t0) / n
@@ -248,9 +242,11 @@ def moment_time_series(
     """Monte Carlo estimates of E prod_i <f_i, Z_t> at several times along
     one set of trajectories; returns (times, estimates, standard_errors).
 
-    Estimates at different times share replicas (correlated across times,
-    independent across replicas); each time's error bar is marginally
-    valid.  Deterministic for a fixed seed and any thread count.
+    ``f`` is one mixture shared by the n particles or one mixture per
+    particle (``gausscalc.per_particle``), ``z_ic`` one mixture.  Estimates
+    at different times share replicas (correlated across times, independent
+    across replicas); each time's error bar is marginally valid.
+    Deterministic for a fixed seed and any thread count.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"moment order must be an integer >= 1, got {n}")
@@ -259,12 +255,8 @@ def moment_time_series(
     times = [float(t) for t in times]
     if any(t < 0.0 or not math.isfinite(t) for t in times) or times != sorted(times):
         raise DomainError(f"recording times must be sorted and nonnegative, got {times}")
-    f = tuple(f) if f and not isinstance(f[0][0], (int, float)) else (tuple(f),)
-    if len(f) == 1:
-        f = f * n
-    if len(f) != n:
-        raise DomainError(f"need {n} test mixtures (or one to share), got {len(f)}")
-    f = tuple(_as_mixture(mix) for mix in f)
+    f = per_particle(f, n, "f")
+    z_ic = mixture(z_ic, "z_ic")
     dt_max = params.cfl_dt if dt is None else float(dt)
     if dt_max > params.cfl_dt * (1.0 + 1e-12):
         raise ParameterError(f"dt {dt_max} violates dt <= (L/N)^2/4 = {params.cfl_dt:.6g}")
@@ -285,25 +277,6 @@ def moment_time_series(
     for j in range(len(times)):
         est[j], se[j] = _jackknife(table[:, j])
     return np.asarray(times), est, se
-
-
-def estimate_moment(
-    n: int,
-    t: float,
-    f,
-    z_ic,
-    params: FieldParams,
-    *,
-    replicas: int,
-    seed: int,
-    dt: float = None,
-    threads: int = 1,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E prod_i <f_i, Z_t> with jackknife error."""
-    _, est, se = moment_time_series(
-        n, [float(t)], f, z_ic, params, replicas=replicas, seed=seed, dt=dt, threads=threads
-    )
-    return float(est[0]), float(se[0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +318,8 @@ def two_particle_oracle(
         raise DomainError(f"time must be positive and finite, got {t}")
     if not (epsilon > 0.0 and beta_e >= 0.0):
         raise DomainError(f"need epsilon > 0 and beta_eps >= 0, got {epsilon}, {beta_e}")
-    f = _as_mixture(f)
-    z = _as_mixture(z_ic)
+    f = mixture(f, "f")
+    z = mixture(z_ic, "z_ic")
     s_f = _shared_variance(f, "test-function")
     s_z = _shared_variance(z, "initial-condition")
     phi = phi or Mollifier.bump()

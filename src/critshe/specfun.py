@@ -317,10 +317,11 @@ def _jw_tabulated(w: np.ndarray) -> np.ndarray:
     v = w.copy()
     v[tail] = -1.0 / w[tail]  # w = -inf gives x = 0 and JW = 0
     x = (v - centre[p]) / half[p]
+    x2 = 2.0 * x
     # Clenshaw, gathering one coefficient row per step (no (nodes, points) array)
     b1, b2 = coef[-1, p], 0.0
     for row in coef[-2:0:-1]:
-        b1, b2 = row[p] + 2.0 * x * b1 - b2, b1
+        b1, b2 = row[p] + x2 * b1 - b2, b1
     out = coef[0, p] + x * b1 - b2
     out[tail] *= v[tail] ** 2
     top = logged[p]

@@ -4,7 +4,6 @@ Everything runs in-process through run(argv) so exit codes and file
 side effects can be asserted without spawning subprocesses.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from critshe import cli
-from critshe.cli import _DEFAULTS, _option_types, build_parser, canonical_json, config_hash, run
+from critshe.cli import _OPTIONS, build_parser, canonical_json, config_hash, run
 
 MIX_F = '[[1.0,[0.3,-0.2],0.8]]'
 MIX_Z = '[[1.0,[0.0,0.1],0.5]]'
@@ -148,9 +147,53 @@ def assert_one_error_line(capsys):
 
 class TestPrecedence:
     def test_defaults_cover_exactly_the_flags(self):
+        # each table row is one flag of its subcommand, stored under its own
+        # key, and its default passes its own converter and choices
         parser = build_parser()
-        for command, defaults in _DEFAULTS.items():
-            assert set(_option_types(parser, command)) - {"help"} == set(defaults), command
+        for command, options in _OPTIONS.items():
+            dests = [opt.dest for opt in options]
+            assert len(set(dests)) == len(dests), command
+            argv = [command]
+            for opt in options:
+                argv += [opt.flag] if opt.convert is cli._bool else [opt.flag, "x"]
+            given = vars(parser.parse_args(argv))
+            assert set(given) - {"command", "func"} == set(dests), command
+            assert set(cli._resolve(command, {})) == set(dests), command
+
+    # pinned echo and hash of one default-valued run per subcommand: a table
+    # row that shifts a default, or a converter that changes its type, fails here
+    PINNED = {
+        "moment": (["--n", "1", "--t", "1", "--beta-star", "0"],
+                   "7c0df70e6dc94186d618046672703de39db1ec99"),
+        "simulate": (["--epsilon", "0.25", "--times", "0"],
+                     "effa8effecf73820170aa705d905c0c9c5f982a7"),
+        "diagrams": (["--n", "3", "--m", "2"], "8e3ba8f5eef4fb016b42fd025074e7cc9ba8c1db"),
+        "verify": ([], "4767ed984ed3dd47aecf12fa712da31b03840252"),
+        "betaconst": ([], "8ca7d32822f01e55ccac0f16f7efe577ba6593e1"),
+    }
+    UNIT = [[1.0, [0.0, 0.0], 0.5]]
+    ECHO = {
+        "moment": {"beta0": None, "beta_star": 0.0, "f": UNIT, "m_max": 6,
+                   "mode": "adaptive-quadrature", "mollifier": "bump", "n": 1,
+                   "rel_tol": 0.001, "samples": 65536, "seed": 2026, "t": 1.0, "z_ic": UNIT},
+        "simulate": {"beta0": 0.0, "domain": 8.0, "dt": None, "epsilon": 0.25, "f": UNIT,
+                     "grid": 256, "mollifier": "bump", "n": 2, "replicas": 2000,
+                     "seed": 2026, "times": [0.0], "z_ic": UNIT},
+        "diagrams": {"count_only": False, "m": 2, "n": 3},
+        "verify": {"suite": "identities"},
+        "betaconst": {"beta0": 0.0, "mollifier": "bump"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_default_echo_pinned(self, command, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_verify_identities", lambda: [
+            {"identity": "stub", "residual": 0.0, "tolerance": 1.0}])
+        argv, digest = self.PINNED[command]
+        code, env = run_to_file(tmp_path, [command] + argv)
+        assert code == 0
+        assert env["config"] == {**self.ECHO[command], "command": command,
+                                 "config": None, "threads": None}
+        assert env["config_hash"] == digest
 
     def test_config_values_typed_like_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -179,6 +222,43 @@ class TestPrecedence:
         cfg.write_text(json.dumps({"n": 3, "m": 1, "banana": True}))
         assert run(["diagrams", "--config", str(cfg)]) == 2
         assert "banana" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["count_only", "stable_output"])
+    @pytest.mark.parametrize("value", ["no", "yes", 0, 1, None, [True]])
+    def test_switches_take_only_json_booleans(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "m": 1, key: value}))
+        assert run(["diagrams", "--config", str(cfg)]) == 2
+        assert repr(key) in assert_one_error_line(capsys)
+        cfg.write_text(json.dumps({"n": 3, "m": 1, key: True}))
+        assert run(["diagrams", "--config", str(cfg), "--output", str(tmp_path / "e.json")]) == 0
+
+    def test_choices_checked_for_flags_and_config(self, tmp_path, capsys):
+        base = ["moment", "--n", "1", "--t", "1", "--beta-star", "0"]
+        assert run(base + ["--mollifier", "foo"]) == 2
+        assert "foo" in assert_one_error_line(capsys)
+        assert run(base + ["--mode", "simpson"]) == 2
+        assert_one_error_line(capsys)
+        cfg = tmp_path / "cfg.json"
+        for command, extra in (("moment", {"n": 1, "t": 1, "beta_star": 0, "mollifier": "foo"}),
+                               ("simulate", {"epsilon": 0.5, "times": "0", "mollifier": "foo"}),
+                               ("betaconst", {"mollifier": "foo"}),
+                               ("verify", {"suite": "everything"})):
+            cfg.write_text(json.dumps(extra))
+            assert run([command, "--config", str(cfg)]) == 2, command
+            assert_one_error_line(capsys)
+
+    def test_config_mixture_as_text_or_data(self, tmp_path):
+        argv = ["moment", "--n", "2", "--t", "0.5", "--beta-star", "0", "--stable-output"]
+        envs = []
+        for i, f in enumerate((MIX_F, json.loads(MIX_F))):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"f": f, "z_ic": MIX_Z}))
+            envs.append(run_to_file(tmp_path, argv + ["--config", str(cfg)], f"e{i}.json"))
+        envs.append(run_to_file(tmp_path, argv + ["--f", MIX_F, "--z-ic", MIX_Z], "e2.json"))
+        assert [code for code, _ in envs] == [0, 0, 0]
+        assert envs[0][1] == envs[1][1] == envs[2][1]
+        assert envs[0][1]["config"]["f"] == json.loads(MIX_F)
 
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -362,7 +442,7 @@ FUZZ_VALUES = {
     "mode": ("adaptive-quadrature", "quasi-monte-carlo", "monte-carlo", "simpson"),
     "samples": (1024, 999, 0, -5), "rel_tol": (1e-3, 0.0, -1.0, "nan"),
     "seed": (0, 7, -3, 2**70), "suite": ("identities", "everything"),
-    "count_only": (True, False, "yes"), "stable_output": (True, False),
+    "count_only": (True, False, "yes"), "stable_output": (True, False, "no"),
     "threads": (1, 2, 0, "x"),
     "output": ("-", "{tmp}/env.json", "{tmp}/missing/env.json"),
     "csv_path": ("{tmp}/t.csv", "{tmp}/missing/t.csv"),
@@ -371,10 +451,8 @@ CONFIG_TEXTS = ("{cfg}", "{cfg_extra}", "{{not json", "[1, 2]")
 
 
 def _flags(command: str) -> dict:
-    """dest -> flag of every option of ``command`` except --help and --config."""
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
-            if a.dest not in ("help", "config")}
+    """dest -> flag of every option of ``command`` except --config."""
+    return {opt.dest: opt.flag for opt in _OPTIONS[command] if opt.dest != "config"}
 
 
 class TestContractOverGeneratedInput:

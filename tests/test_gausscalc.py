@@ -28,9 +28,10 @@ from critshe.gausscalc import (
     evaluate,
     heat2d,
     inner_product,
+    mixture,
+    per_particle,
     product_state,
     second_moment_closed_form,
-    second_moment_kernel,
     squeezed_heat,
 )
 from critshe.specfun import jfn
@@ -326,19 +327,6 @@ class TestSecondMomentKernel:
         with pytest.raises(DomainError):
             bessel_identity_residual(0.0, 1.0, 1.0)
 
-    def test_routes_agree(self):
-        args = (1.0, (0.1, 0.0), (0.5, 0.3), (0.0, 0.2), (-0.4, 0.1), 0.5)
-        v_b = second_moment_kernel(*args, route="bessel")
-        v_d = second_moment_kernel(*args, route="direct")
-        assert v_b == pytest.approx(v_d, rel=1e-8)
-
-    def test_unknown_route_rejected(self):
-        with pytest.raises(ParameterError):
-            second_moment_kernel(1.0, (0, 0), (1, 0), (0, 0), (1, 0), 0.0, route="x")
-
-    def test_zero_relative_coordinate_rejected(self):
-        with pytest.raises(DomainError):
-            second_moment_kernel(1.0, (0, 0), (0.0, 0.0), (0, 0), (1, 0), 0.0)
 
 
 class TestSecondMomentClosedForm:
@@ -371,3 +359,44 @@ class TestSecondMomentClosedForm:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(DomainError):
             second_moment_closed_form(0.0, 0.0, self.F, self.F, self.Z)
+
+    @pytest.mark.parametrize("bad", [((math.nan, (0.0, 0.0), 0.5),), ((1.0, (0.0, 0.0)),),
+                                     ((1.0, (0.0, math.inf), 0.5),), ()])
+    def test_malformed_mixture_rejected(self, bad):
+        for args in ((bad, self.F, self.Z), (self.F, bad, self.Z), (self.F, self.F, bad)):
+            with pytest.raises(DomainError):
+                second_moment_closed_form(1.0, 0.0, *args)
+
+    def test_list_form_data(self):
+        listed = [[w, list(c), v] for w, c, v in self.F]
+        a = second_moment_closed_form(1.0, 0.0, self.F, self.F, self.Z)
+        assert second_moment_closed_form(1.0, 0.0, listed, listed, [[1.0, [0.0, 0.1], 0.5]]) == a
+
+
+class TestMixtureInput:
+    def test_canonical_form(self):
+        out = mixture([[1, [0, "0.5"], 2], (0.5, (1.0, -1.0), 0.25)])
+        assert out == ((1.0, (0.0, 0.5), 2.0), (0.5, (1.0, -1.0), 0.25))
+        assert all(type(x) is float for w, c, v in out for x in (w, *c, v))
+        assert mixture(out) == out
+
+    @pytest.mark.parametrize("bad", [[[1.0, [0.0, 0.0]]], [[1.0, 0.5, 1.0]],
+                                     [[1.0, [0.0, 0.0, 0.0], 0.5]], [["w", [0.0, 0.0], 0.5]],
+                                     [[1.0, [0.0, 0.0], 0.0]], [[1.0, [0.0, 0.0], -1.0]],
+                                     [[math.nan, [0.0, 0.0], 0.5]], [[1e400, [0.0, 0.0], 0.5]],
+                                     [[10**400, [0.0, 0.0], 0.5]], [], None, 3.0, "abc"])
+    def test_malformed_raises_domain_error_naming_label(self, bad):
+        with pytest.raises(DomainError, match="^--z-ic: "):
+            mixture(bad, "--z-ic")
+
+    def test_per_particle(self):
+        one = ((1.0, (0.0, 0.0), 0.5),)
+        two = ((0.5, (1.0, 0.0), 0.5), (0.5, (-1.0, 0.0), 0.5))
+        assert per_particle(one, 3) == (one, one, one)
+        assert per_particle([[1.0, [0.0, 0.0], 0.5]], 3) == (one, one, one)
+        assert per_particle((one,), 2) == (one, one)
+        assert per_particle([two, one], 2) == (two, one)
+        with pytest.raises(DomainError, match="need 3"):
+            per_particle((one, two), 3)
+        with pytest.raises(DomainError, match=r"^f\[1\]: "):
+            per_particle((one, ((1.0, (0.0, 0.0), -0.5),)), 2)

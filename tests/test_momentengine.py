@@ -57,6 +57,24 @@ class TestMomentRequest:
         with pytest.raises(DomainError):
             MomentRequest(n=2, t=1.0, beta_star=0.0, f=((1.0, (0, 0), -1.0),), z_ic=Z)
 
+    @pytest.mark.parametrize("bad", [((1.0, (0, 0)),), ((1.0, 0.5, 1.0),),
+                                     [[1.0, [0.0, 0.0]]], ((math.nan, (0, 0), 0.5),), ()])
+    def test_malformed_mixture_named(self, bad):
+        with pytest.raises(DomainError, match="^f: "):
+            MomentRequest(n=2, t=1.0, beta_star=0.0, f=bad, z_ic=Z)
+        with pytest.raises(DomainError, match="^z_ic: "):
+            MomentRequest(n=2, t=1.0, beta_star=0.0, f=F, z_ic=bad)
+
+    def test_mixture_forms_agree(self):
+        # a tuple, a list (as parsed from JSON) and one mixture per particle
+        listed = [[1.0, [0.3, -0.2], 0.8]]
+        reqs = [MomentRequest(n=2, t=1.0, beta_star=0.0, f=f, z_ic=z, plan=QUAD)
+                for f, z in ((F, Z), (listed, [[1.0, [0.0, 0.1], 0.5]]), ((F, F), Z),
+                             ([listed, listed], Z), ([listed], Z))]
+        assert all(req.f == (F, F) and req.z_ic == Z for req in reqs)
+        totals = [correlation(req).total for req in reqs]
+        assert all(v == totals[0] for v in totals)
+
 
 class TestFirstMoment:
     def test_matches_heat_overlap(self):

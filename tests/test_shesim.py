@@ -22,8 +22,6 @@ from critshe.mollifier import CouplingSchedule, Mollifier, beta_eps, pair_profil
 from critshe.shesim import (
     FieldParams,
     FieldState,
-    estimate_moment,
-    grid_inner,
     initial_state,
     moment_time_series,
     noise_increment,
@@ -37,6 +35,17 @@ Z = ((1.0, (4.0, 4.2), 0.5),)
 L, N = 8.0, 64
 EPS = 0.5  # eps * N / L = 4, the resolution floor
 PHI = Mollifier.bump()
+
+
+def riemann(f_grid, z_grid) -> float:
+    """<f, Z> as the simulator forms it: h^2 * sum f(x) Z(x)."""
+    return (L / N) ** 2 * float(np.sum(f_grid * z_grid))
+
+
+def moment_at(n, t, params, f=F, **kw) -> tuple[float, float]:
+    """(estimate, standard error) of E prod_i <f_i, Z_t> at one time."""
+    _, est, se = moment_time_series(n, [t], f, Z, params, **kw)
+    return float(est[0]), float(se[0])
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +83,12 @@ class TestSampling:
         assert (L / N) ** 2 * float(np.sum(grid)) == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_inner_is_riemann_sum(self):
+        # at t = 0 every replica's <f, Z> is the Riemann sum of the sampled data
         p = FieldParams(epsilon=EPS, beta_eps=1.0, domain=L, n_grid=N)
-        grid = sample_mixture(Z, L, N)
-        direct = (L / N) ** 2 * float(np.sum(sample_mixture(F, L, N) * grid))
-        assert grid_inner(F, grid, p) == direct
+        v, se = moment_at(1, 0.0, p, replicas=100, seed=1)
+        assert v == pytest.approx(riemann(sample_mixture(F, L, N), sample_mixture(Z, L, N)),
+                                  rel=4e-16)
+        assert se == 0.0
 
     def test_initial_state(self):
         p = FieldParams(epsilon=EPS, beta_eps=1.0, domain=L, n_grid=N)
@@ -138,27 +149,26 @@ class TestStep:
 
 class TestMomentEstimation:
     def test_time_zero_is_deterministic_grid_product(self, coupled_params):
-        v0, s0 = estimate_moment(2, 0.0, F, Z, coupled_params, replicas=100, seed=5)
-        fz = grid_inner(F, sample_mixture(Z, L, N), coupled_params)
+        v0, s0 = moment_at(2, 0.0, coupled_params, replicas=100, seed=5)
+        fz = riemann(sample_mixture(F, L, N), sample_mixture(Z, L, N))
         # replica averaging of identical values costs at most ~1 ulp each
         assert v0 == pytest.approx(fz * fz, rel=4e-16)
         assert s0 == 0.0
 
     def test_thread_count_does_not_change_bits(self, coupled_params):
-        a = estimate_moment(2, 0.125, F, Z, coupled_params, replicas=100, seed=5, threads=1)
-        b = estimate_moment(2, 0.125, F, Z, coupled_params, replicas=100, seed=5, threads=4)
+        a = moment_at(2, 0.125, coupled_params, replicas=100, seed=5, threads=1)
+        b = moment_at(2, 0.125, coupled_params, replicas=100, seed=5, threads=4)
         assert a == b
 
     def test_mean_preserved_under_noise(self, coupled_params):
         # E <f, Z_t> equals the free evolution; n = 1, 3 jackknife SE
         t = 0.125
-        v1, s1 = estimate_moment(1, t, F, Z, coupled_params, replicas=300, seed=11,
-                                 threads=4)
+        v1, s1 = moment_at(1, t, coupled_params, replicas=300, seed=11, threads=4)
         kx = 2 * math.pi * np.fft.fftfreq(N, d=L / N)
         ky = 2 * math.pi * np.fft.rfftfreq(N, d=L / N)
         decay = np.exp(-(kx[:, None] ** 2 + ky[None, :] ** 2) * t / 2)
         zt = np.fft.irfft2(decay * np.fft.rfft2(sample_mixture(Z, L, N)), s=(N, N))
-        free = grid_inner(F, zt, coupled_params)
+        free = riemann(sample_mixture(F, L, N), zt)
         assert abs(v1 - free) < 3.0 * s1
 
     def test_time_series_shares_replicas(self, coupled_params):
@@ -166,23 +176,39 @@ class TestMomentEstimation:
             2, [0.0, 0.0625, 0.125], F, Z, coupled_params, replicas=100, seed=9
         )
         np.testing.assert_array_equal(times, [0.0, 0.0625, 0.125])
-        single = estimate_moment(2, 0.125, F, Z, coupled_params, replicas=100, seed=9)
+        single = moment_at(2, 0.125, coupled_params, replicas=100, seed=9)
         # the last recording time reproduces the single-time estimate exactly
         assert (est[2], se[2]) == single
         assert se[0] == 0.0  # t = 0 carries no sampling error
 
     def test_validation(self, coupled_params):
         with pytest.raises(DomainError):
-            estimate_moment(0, 0.1, F, Z, coupled_params, replicas=100, seed=1)
+            moment_at(0, 0.1, coupled_params, replicas=100, seed=1)
         with pytest.raises(DomainError):
-            estimate_moment(2, 0.1, F, Z, coupled_params, replicas=99, seed=1)
+            moment_at(2, 0.1, coupled_params, replicas=99, seed=1)
         with pytest.raises(DomainError):
             moment_time_series(2, [0.2, 0.1], F, Z, coupled_params, replicas=100, seed=1)
         with pytest.raises(ParameterError):
-            estimate_moment(2, 0.1, F, Z, coupled_params, replicas=100, seed=1,
-                            dt=coupled_params.cfl_dt * 2.0)
+            moment_at(2, 0.1, coupled_params, replicas=100, seed=1,
+                      dt=coupled_params.cfl_dt * 2.0)
         with pytest.raises(DomainError):
-            estimate_moment(3, 0.1, (F, F), Z, coupled_params, replicas=100, seed=1)
+            moment_at(3, 0.1, coupled_params, f=(F, F), replicas=100, seed=1)
+
+    def test_mixture_forms_agree(self, coupled_params):
+        # a tuple, a list (as parsed from JSON) and one mixture per particle
+        runs = [moment_at(2, 0.0625, coupled_params, f=f, replicas=100, seed=3)
+                for f in (F, [[1.0, [4.0, 3.8], 0.6]], (F, F), [[[1.0, [4.0, 3.8], 0.6]]])]
+        assert all(r == runs[0] for r in runs)
+
+    @pytest.mark.parametrize("bad", [[[1.0, [0.0, 0.0]]], [[1.0, 0.5, 1.0]],
+                                     [[1.0, [0.0, math.inf], 0.5]], [[1.0, [0.0, 0.0], 0.0]], []])
+    def test_malformed_mixture_rejected(self, bad, coupled_params):
+        with pytest.raises(DomainError, match="^f: "):
+            moment_at(2, 0.0, coupled_params, f=bad, replicas=100, seed=1)
+        with pytest.raises(DomainError, match="^z_ic: "):
+            moment_time_series(2, [0.0], F, bad, coupled_params, replicas=100, seed=1)
+        with pytest.raises(DomainError):
+            two_particle_oracle(0.25, bad, Z, 0.25, 1.0, n_grid=256, domain=16.0)
 
 
 class TestTwoParticleOracle:
