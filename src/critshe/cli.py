@@ -368,15 +368,13 @@ def _cmd_moment(cfg: dict, timings: dict) -> tuple[dict, list, list]:
 
 
 def _cmd_simulate(cfg: dict, timings: dict) -> tuple[dict, list, list]:
-    from .mollifier import CouplingSchedule, Mollifier, beta_eps
+    from .mollifier import CouplingSchedule, beta_eps
     from .shesim import FieldParams, moment_time_series
 
     _require(cfg, "epsilon", "times")
     eps = cfg["epsilon"]
     be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=cfg["beta0"]))
-    params = FieldParams(
-        epsilon=eps, beta_eps=be, domain=cfg["domain"], n_grid=cfg["grid"], phi=Mollifier.bump(),
-    )
+    params = FieldParams(epsilon=eps, beta_eps=be, domain=cfg["domain"], n_grid=cfg["grid"])
     t0 = time.perf_counter()
     ts, est, se = moment_time_series(
         cfg["n"], cfg["times"], cfg["f"], cfg["z_ic"], params,

@@ -4,8 +4,7 @@ A diagram over n particles is a finite sequence of ordered pairs
 (i_1, j_1), ..., (i_m, j_m) with 1 <= i_k < j_k <= n and consecutive pairs
 distinct.  With p = n(n-1)/2 available pairs there are exactly
 p (p-1)^(m-1) diagrams of length m; the full family over all m is infinite,
-so enumeration is exposed as a lazy iterator and the moment engine requests
-one (n, m) slice at a time.
+so the moment engine requests one (n, m) slice at a time, as a list.
 
 A diagram is *degenerate* when some particle never appears in any of its
 pairs; for n = 2 every diagram is nondegenerate, and for n = 3 the
@@ -19,7 +18,7 @@ from typing import Iterator
 
 from .errors import DomainError
 
-__all__ = ["DiagramIndex", "iter_diagrams", "enumerate_diagrams", "classify", "count"]
+__all__ = ["DiagramIndex", "enumerate_diagrams", "classify", "count"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,8 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def iter_diagrams(n: int, m: int) -> Iterator[DiagramIndex]:
-    """Lazily yield all length-m diagrams over n particles in lexicographic order."""
+def enumerate_diagrams(n: int, m: int) -> list[DiagramIndex]:
+    """All length-m diagrams over n particles, in lexicographic order."""
     if n < 2 or m < 1:
         raise DomainError(f"diagram enumeration needs n >= 2 and m >= 1, got ({n},{m})")
     pairs = _all_pairs(n)
@@ -65,12 +64,7 @@ def iter_diagrams(n: int, m: int) -> Iterator[DiagramIndex]:
             if p != last:
                 yield from extend(prefix + (p,))
 
-    yield from extend(())
-
-
-def enumerate_diagrams(n: int, m: int) -> list[DiagramIndex]:
-    """All length-m diagrams over n particles, materialized in lexicographic order."""
-    return list(iter_diagrams(n, m))
+    return list(extend(()))
 
 
 def classify(d: DiagramIndex) -> bool:

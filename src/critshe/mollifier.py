@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _radial_mass(f: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
+    """2 pi int_0^radius f(r) r dr by 800-node Gauss-Legendre."""
+    r, w = gauss_legendre(800, 0.0, radius)
+    return 2.0 * math.pi * float(np.sum(w * f(r) * r))
+
+
 def _bump_raw(r: np.ndarray) -> np.ndarray:
     """exp(-1/(1-r^2)) on r < 1, identically zero outside."""
     r = np.asarray(r, dtype=float)
@@ -71,17 +77,15 @@ class Mollifier:
     def __call__(self, r) -> np.ndarray:
         return self.normalization * self.profile(np.asarray(r, dtype=float))
 
-    def mass(self, n: int = 800) -> float:
+    def mass(self) -> float:
         """2 pi int_0^R phi(r) r dr, for validating unit normalization."""
-        r, w = gauss_legendre(n, 0.0, self.support_radius)
-        return 2.0 * math.pi * float(np.sum(w * self(r) * r))
+        return _radial_mass(self, self.support_radius)
 
     @classmethod
     def bump(cls) -> "Mollifier":
         """The reference bump c exp(-1/(1-|x|^2)) on |x| < 1, unit mass."""
-        r, w = gauss_legendre(800, 0.0, 1.0)
-        raw_mass = 2.0 * math.pi * float(np.sum(w * _bump_raw(r) * r))
-        return cls(profile=_bump_raw, normalization=1.0 / raw_mass, support_radius=1.0)
+        return cls(profile=_bump_raw, normalization=1.0 / _radial_mass(_bump_raw, 1.0),
+                   support_radius=1.0)
 
     def scaled(self, lam: float) -> "Mollifier":
         """The rescaled mollifier lam^2 phi(lam x), still of unit mass."""
@@ -121,10 +125,9 @@ class PairProfile:
             out[inside] = np.maximum(self._spline(r[inside]), 0.0)
         return out
 
-    def mass(self, n: int = 800) -> float:
+    def mass(self) -> float:
         """2 pi int_0^{2R} Phi(r) r dr; equals (int phi)^2 = 1 for valid input."""
-        r, w = gauss_legendre(n, 0.0, self.support_radius)
-        return 2.0 * math.pi * float(np.sum(w * self(r) * r))
+        return _radial_mass(self, self.support_radius)
 
 
 def _radial_convolution(

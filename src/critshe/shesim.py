@@ -18,7 +18,9 @@ The oracle solves the two-particle moment PDE in the relative
 coordinate, d_t u = Laplace(u) + beta_eps * delta_eps(x_d) * u (the
 coordinate change doubles the diffusion), by first-order splitting with
 exact spectral diffusion and exact pointwise potential flow; the
-center-of-mass factor is a single analytic heat kernel.  Both routes are
+center-of-mass factor is a single analytic heat kernel.  It shares the
+simulator's torus: the same ``FieldParams`` check of (eps, beta_eps, L, N),
+the same min-image grid, Gaussian sampler and heat multiplier.  Both routes are
 pre-limit objects at fixed eps: their agreement validates the simulator,
 and their trend in eps is what approaches the limiting moment engine.
 Test functions and initial data are Gaussian mixtures, checked and
@@ -36,7 +38,7 @@ import numpy as np
 
 from ._rng import stream
 from .errors import BlowupError, DomainError, ParameterError
-from .gausscalc import _shared_variance, mixture, per_particle
+from .gausscalc import _shared_variance, heat2d, mixture, per_particle
 from .mollifier import Mollifier, pair_profile
 
 __all__ = [
@@ -113,9 +115,9 @@ class FieldState:
     step_index: int = 0
 
 
-def _min_image_sq(params_or_pair, center=(0.0, 0.0)):
+def _min_image_sq(domain: float, n_grid: int, center=(0.0, 0.0)):
     """Squared min-image distance field from ``center`` on the torus grid."""
-    L, n = params_or_pair
+    L, n = domain, n_grid
     x = np.arange(n) * (L / n)
     dx = np.remainder(x - center[0] + L / 2.0, L) - L / 2.0
     dy = np.remainder(x - center[1] + L / 2.0, L) - L / 2.0
@@ -128,7 +130,7 @@ def sample_mixture(mix, domain: float, n_grid: int) -> np.ndarray:
     mix = mixture(mix)
     out = np.zeros((n_grid, n_grid))
     for w, center, var in mix:
-        r2 = _min_image_sq((domain, n_grid), center)
+        r2 = _min_image_sq(domain, n_grid, center)
         out += (w / (2.0 * math.pi * var)) * np.exp(-r2 / (2.0 * var))
     return out
 
@@ -146,17 +148,20 @@ def initial_state(params: FieldParams, z_ic) -> FieldState:
 def _kernel_fft(params: FieldParams):
     """rfft2 of the scaled mollifier sampled with the min-image rule."""
     phi_eps = params.phi.scaled(1.0 / params.epsilon)
-    r = np.sqrt(_min_image_sq((params.domain, params.n_grid)))
+    r = np.sqrt(_min_image_sq(params.domain, params.n_grid))
     return np.fft.rfft2(phi_eps(r))
 
 
-@lru_cache(maxsize=32)
-def _heat_fft(params: FieldParams, half_dt: float):
-    """Fourier multiplier exp(-|k|^2 * half_dt) on the rfft2 layout."""
+def _heat_multiplier(params: FieldParams, tau: float) -> np.ndarray:
+    """Fourier multiplier exp(-|k|^2 * tau) on the rfft2 layout."""
     n, L = params.n_grid, params.domain
     kx = 2.0 * math.pi * np.fft.fftfreq(n, d=L / n)
     ky = 2.0 * math.pi * np.fft.rfftfreq(n, d=L / n)
-    return np.exp(-(kx[:, None] ** 2 + ky[None, :] ** 2) * half_dt)
+    return np.exp(-(kx[:, None] ** 2 + ky[None, :] ** 2) * tau)
+
+
+# the simulator's half-step multiplier, reused by every step of every replica
+_heat_fft = lru_cache(maxsize=32)(_heat_multiplier)
 
 
 def noise_increment(params: FieldParams, dt: float, rng) -> np.ndarray:
@@ -283,10 +288,6 @@ def moment_time_series(
 # deterministic two-particle oracle
 # ---------------------------------------------------------------------------
 
-def _gauss2d(r2: np.ndarray, var: float) -> np.ndarray:
-    return np.exp(-r2 / (2.0 * var)) / (2.0 * math.pi * var)
-
-
 def two_particle_oracle(
     t: float,
     f,
@@ -307,6 +308,10 @@ def two_particle_oracle(
     d_t u = Laplace(u) + beta_e * delta_eps * u from the relative Gaussian
     of the data.  The PDE is advanced by first-order splitting: exact
     potential flow exp(beta_e delta_eps dt) then exact spectral diffusion.
+    The relative coordinate lives on the simulator's torus: ``FieldParams``
+    validates (epsilon, beta_e, domain, n_grid), the data are sampled onto
+    its min-image grid as the simulator samples them, and the diffusion
+    applies the simulator's heat multiplier at tau = dt.
 
     The default step count keeps beta_e * delta_eps(0) * dt <= 0.05 (and
     at least 64 steps), the regime where the splitting bias is far below
@@ -316,8 +321,6 @@ def two_particle_oracle(
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"time must be positive and finite, got {t}")
-    if not (epsilon > 0.0 and beta_e >= 0.0):
-        raise DomainError(f"need epsilon > 0 and beta_eps >= 0, got {epsilon}, {beta_e}")
     f = mixture(f, "f")
     z = mixture(z_ic, "z_ic")
     s_f = _shared_variance(f, "test-function")
@@ -332,45 +335,32 @@ def two_particle_oracle(
         )
         domain = 8.0 * math.sqrt(2.0 * t) + 6.0 * (math.sqrt(2.0 * s_f) + math.sqrt(2.0 * s_z))
         domain += 2.0 * spread + 2.0 * profile.support_radius * epsilon
-    n = int(n_grid)
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ParameterError(f"grid size must be a power of two >= 2, got {n}")
-    if epsilon * n / domain < _MIN_CELLS_PER_EPS:
-        raise ParameterError(
-            f"interaction under-resolved: epsilon*M/L = {epsilon * n / domain:.3g} < "
-            f"{_MIN_CELLS_PER_EPS}; increase the grid"
-        )
-    # relative-coordinate grid centered at the origin
-    h = domain / n
-    x = (np.arange(n) - n // 2) * h
-    r2 = x[:, None] ** 2 + x[None, :] ** 2
-    delta_eps = profile(np.sqrt(r2) / epsilon) / epsilon**2
+    params = FieldParams(epsilon, beta_e, domain, int(n_grid), phi)
+    L, n = params.domain, params.n_grid
+    delta_eps = profile(np.sqrt(_min_image_sq(L, n)) / epsilon) / epsilon**2
     v0 = beta_e * float(delta_eps.max())
     if n_steps is None:
         n_steps = max(64, math.ceil(t * v0 / 0.05)) if v0 > 0.0 else 64
     dt = t / int(n_steps)
     potential = np.exp(beta_e * delta_eps * dt)
-    kx = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    ky = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
-    heat = np.exp(-(kx[:, None] ** 2 + ky[None, :] ** 2) * dt)
+    heat = _heat_multiplier(params, dt)  # uncached: no N = 512 arrays stay resident
 
     total = 0.0
     for wa, mu_a, _ in z:
         for wb, mu_b, _ in z:
             center = (mu_a[0] - mu_b[0], mu_a[1] - mu_b[1])
-            rr = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
-            u = _gauss2d(rr, 2.0 * s_z)
+            u = sample_mixture(((1.0, center, 2.0 * s_z),), L, n)
             for _ in range(int(n_steps)):
                 u = np.fft.irfft2(heat * np.fft.rfft2(potential * u), s=u.shape)
             for wc, mu_c, _ in f:
                 for wd, mu_d, _ in f:
                     fd = (mu_c[0] - mu_d[0], mu_c[1] - mu_d[1])
-                    rr_f = (x[:, None] - fd[0]) ** 2 + (x[None, :] - fd[1]) ** 2
-                    rel = h * h * float(np.sum(_gauss2d(rr_f, 2.0 * s_f) * u))
+                    f_grid = sample_mixture(((1.0, fd, 2.0 * s_f),), L, n)
+                    rel = params.spacing**2 * float(np.sum(f_grid * u))
                     dc = (
                         (mu_c[0] + mu_d[0] - mu_a[0] - mu_b[0]) / 2.0,
                         (mu_c[1] + mu_d[1] - mu_a[1] - mu_b[1]) / 2.0,
                     )
-                    com = float(_gauss2d(np.asarray(dc[0] ** 2 + dc[1] ** 2), (s_f + t + s_z) / 2.0))
+                    com = heat2d((s_f + t + s_z) / 2.0, dc)
                     total += wa * wb * wc * wd * com * rel
     return total

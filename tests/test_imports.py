@@ -1,5 +1,5 @@
 """Source hygiene: every name a package or test module imports is used or
-exported, and every name the benchmark tracer wraps exists."""
+exported, and every package name the benchmark wraps or calls exists."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import pytest
 
 import critshe
 
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(pathlib.Path(critshe.__file__).parent.rglob("*.py")) + sorted(
     pathlib.Path(__file__).parent.glob("*.py")
 )
@@ -55,7 +56,7 @@ def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py wraps package functions and thread pools by
     # (module, attribute); a rename or deletion would break the traced run.
     # The file is executed from its source, so no bytecode lands beside it.
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = BENCHMARK / "tracing.py"
     tracing: dict = {}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
     names = [(mod, attr) for mod, attr, *_ in tracing["_TARGETS"]]
@@ -64,3 +65,78 @@ def test_benchmark_tracer_targets_resolve():
     missing = [(mod, attr) for mod, attr in names
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def package_names(tree: ast.Module) -> list[str]:
+    """Dotted ``critshe`` names that ``tree`` imports, or reads as attributes
+    of a name bound by such an import (``gc.apply_med`` after
+    ``from critshe import gausscalc as gc``)."""
+    bound = {}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "critshe":
+                    # ``import critshe.cli`` binds critshe, ``... as c`` binds c
+                    bound[a.asname or "critshe"] = a.name if a.asname else "critshe"
+                    names.add(a.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "critshe":
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                names.add(f"{node.module}.{a.name}")
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    names.update(filter(None, (dotted(node) for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute))))
+    return sorted(names)
+
+
+def resolves(name: str) -> bool:
+    """True when ``name`` is a module, or attributes below the longest
+    importable module prefix of it."""
+    parts = name.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ImportError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_package_scan_follows_aliases():
+    tree = ast.parse(
+        "import critshe.cli\n"
+        "from critshe import gausscalc as gc, shesim\n"
+        "from critshe._quad import gauss_legendre_01\n"
+        "def f(params):\n"
+        "    critshe.cli.build_parser()\n"
+        "    gc.apply_med(params.state)\n"
+        "    return shesim.FieldParams(1).spacing\n"
+    )
+    assert package_names(tree) == [
+        "critshe._quad.gauss_legendre_01", "critshe.cli", "critshe.cli.build_parser",
+        "critshe.gausscalc", "critshe.gausscalc.apply_med", "critshe.shesim",
+        "critshe.shesim.FieldParams",
+    ]
+    assert resolves("critshe.shesim.initial_state")
+    assert not resolves("critshe.shesim.no_such_name")
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARK.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_package_names_resolve(path):
+    # the micro kernels, workloads and warm-up call package functions by
+    # name; a deletion that keeps every test green would still break them
+    names = package_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in names if not resolves(name)] == []

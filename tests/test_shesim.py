@@ -6,6 +6,8 @@ Independent references:
   (the grid value carries a known O(h^2) Riemann bias, far below the 1%
   tolerance at the resolutions used here);
 * the free-product value of the two-particle oracle at beta_eps = 0;
+* oracle values frozen from its earlier centred-grid form, which differs
+  from the torus form only by FFT rounding and wrapped tails below e^-32;
 * first-order convergence of the splitting in the oracle, ratio ~ 2 when
   halving dt (requires asymmetric data/test widths, otherwise the leading
   commutator term nearly cancels and the observed order inflates).
@@ -211,7 +213,22 @@ class TestMomentEstimation:
             two_particle_oracle(0.25, bad, Z, 0.25, 1.0, n_grid=256, domain=16.0)
 
 
+F2 = ((0.7, (0.5, -0.3), 0.3), (0.3, (-0.4, 0.6), 0.3))
+Z2 = ((0.6, (0.2, 0.4), 0.2), (0.4, (-0.5, -0.1), 0.2))
+G = ((1.0, (0.0, 0.0), 0.5),)
+
+
 class TestTwoParticleOracle:
+    @pytest.mark.parametrize("t, f, z, eps, grid, expected", [
+        (0.0625, F, Z, 0.25, {"n_grid": 256, "domain": 16.0}, 0.01821283237521705),
+        (0.125, F, Z, 0.25, {"n_grid": 256, "domain": 16.0}, 0.019040071340187297),
+        (0.1, F2, Z2, 0.25, {"n_grid": 256, "domain": 16.0}, 0.031301078781506245),
+        (0.05, G, G, 0.5, {}, 0.02656752256879056),
+    ], ids=["prelimit-t0.0625", "prelimit-t0.125", "two-component", "automatic-domain"])
+    def test_matches_centred_grid_values(self, t, f, z, eps, grid, expected):
+        be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=0.0))
+        assert two_particle_oracle(t, f, z, eps, be, **grid) == pytest.approx(expected, rel=1e-12)
+
     def test_zero_coupling_free_product(self):
         # at beta_eps = 0 the moment is <f, P_t z>^2 exactly
         t = 0.25
@@ -258,3 +275,9 @@ class TestTwoParticleOracle:
             two_particle_oracle(0.0, F, Z, 0.25, 1.0)
         with pytest.raises(DomainError):
             two_particle_oracle(0.25, F, Z, 0.25, -1.0)
+
+    @pytest.mark.parametrize("domain", [0.0, -16.0])
+    def test_nonpositive_domain_rejected(self, domain):
+        # FieldParams' own check, not the resolution check (a ParameterError)
+        with pytest.raises(DomainError, match="domain side must be positive"):
+            two_particle_oracle(0.25, F, Z, 0.25, 1.0, n_grid=256, domain=domain)
