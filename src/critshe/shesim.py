@@ -30,6 +30,7 @@ normalized by ``gausscalc.mixture`` as for the moment engine.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,7 +62,8 @@ class FieldParams:
     ``epsilon`` is the mollification radius scale, ``beta_eps`` the
     pre-limit coupling (use :func:`critshe.mollifier.beta_eps` to derive
     it from a coupling schedule), ``domain`` the torus side L, ``n_grid``
-    the grid size N per side, ``phi`` the mollifier shape.
+    the grid size N per side (any integer type, stored as ``int``), ``phi``
+    the mollifier shape.
     """
 
     epsilon: float
@@ -81,9 +83,13 @@ class FieldParams:
             )
         if not (self.domain > 0.0 and math.isfinite(self.domain)):
             raise DomainError(f"domain side must be positive, got {self.domain}")
-        n = self.n_grid
-        if not isinstance(n, int) or n < 2 or (n & (n - 1)) != 0:
-            raise ParameterError(f"grid size must be a power of two >= 2, got {n}")
+        try:
+            n = operator.index(self.n_grid)
+        except TypeError:
+            n = None
+        if n is None or n < 2 or (n & (n - 1)) != 0:
+            raise ParameterError(f"grid size must be a power of two >= 2, got {self.n_grid!r}")
+        object.__setattr__(self, "n_grid", n)
         cells = self.epsilon * n / self.domain
         if cells < _MIN_CELLS_PER_EPS:
             raise ParameterError(
@@ -288,6 +294,12 @@ def moment_time_series(
 # deterministic two-particle oracle
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _oracle_profile(phi: Mollifier):
+    """The pair profile of ``phi``, built once per process and mollifier."""
+    return pair_profile(phi)
+
+
 def two_particle_oracle(
     t: float,
     f,
@@ -326,7 +338,7 @@ def two_particle_oracle(
     s_f = _shared_variance(f, "test-function")
     s_z = _shared_variance(z, "initial-condition")
     phi = phi or Mollifier.bump()
-    profile = pair_profile(phi)
+    profile = _oracle_profile(phi)
     if domain is None:
         spread = max(
             abs(c1[0] - c2[0]) + abs(c1[1] - c2[1])
@@ -335,7 +347,7 @@ def two_particle_oracle(
         )
         domain = 8.0 * math.sqrt(2.0 * t) + 6.0 * (math.sqrt(2.0 * s_f) + math.sqrt(2.0 * s_z))
         domain += 2.0 * spread + 2.0 * profile.support_radius * epsilon
-    params = FieldParams(epsilon, beta_e, domain, int(n_grid), phi)
+    params = FieldParams(epsilon, beta_e, domain, n_grid, phi)
     L, n = params.domain, params.n_grid
     delta_eps = profile(np.sqrt(_min_image_sq(L, n)) / epsilon) / epsilon**2
     v0 = beta_e * float(delta_eps.max())

@@ -27,7 +27,12 @@ have underflowed.  The modes:
   regular coordinates fill the rest of the simplex uniformly.  The error
   estimate is the sample standard error.
 * ``quasi-monte-carlo``: the same map applied to scrambled Sobol points;
-  the error estimate is the spread over independent randomizations.
+  the error estimate is the spread over independent randomizations.  The
+  points use Joe and Kuo's direction numbers (SIAM J. Sci. Comput. 30
+  (2008) 2635) for up to 64 dimensions, randomized by Matousek's linear
+  matrix scrambling plus a digital shift (J. Complexity 14 (1998) 527),
+  30 bits; they equal scipy 1.17's ``qmc.Sobol(d, scramble=True,
+  seed=seed).random(n)`` bit for bit.
 
 Results are bit-identical for a fixed seed and any worker count.  Monte
 Carlo sampling is partitioned into fixed-size blocks; block b draws from a
@@ -44,9 +49,9 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._quad import gauss_legendre_01, log_endpoint_rule_scaled
 from ._rng import stream, substream_seed
@@ -62,6 +67,41 @@ _MODES = ("adaptive-quadrature", "monte-carlo", "quasi-monte-carlo")
 _BLOCK = 8192          # samples per RNG block (part of the determinism contract)
 _QMC_RANDOMIZATIONS = 8
 _QMC_CHUNK = 4096      # rows per QMC evaluation chunk (memory-bound; not a thread knob)
+_SOBOL_BITS = 30
+
+# Joe-Kuo primitive polynomials (leading and trailing bits included) and
+# initial direction numbers of Sobol dimensions 2..64; dimension 1 is the
+# van der Corput sequence, all direction numbers 1.
+_JOE_KUO = (
+    (3, 1), (7, 1, 3), (11, 1, 3, 1), (13, 1, 1, 1), (19, 1, 1, 3, 3),
+    (25, 1, 3, 5, 13), (37, 1, 1, 5, 5, 17), (41, 1, 1, 5, 5, 5), (47, 1, 1, 7, 11, 19),
+    (55, 1, 1, 5, 1, 1), (59, 1, 1, 1, 3, 11), (61, 1, 3, 5, 5, 31),
+    (67, 1, 3, 3, 9, 7, 49), (91, 1, 1, 1, 15, 21, 21), (97, 1, 3, 1, 13, 27, 49),
+    (103, 1, 1, 1, 15, 7, 5), (109, 1, 3, 1, 15, 13, 25), (115, 1, 1, 5, 5, 19, 61),
+    (131, 1, 3, 7, 11, 23, 15, 103), (137, 1, 3, 7, 13, 13, 15, 69),
+    (143, 1, 1, 3, 13, 7, 35, 63), (145, 1, 3, 5, 9, 1, 25, 53),
+    (157, 1, 3, 1, 13, 9, 35, 107), (167, 1, 3, 1, 5, 27, 61, 31),
+    (171, 1, 1, 5, 11, 19, 41, 61), (185, 1, 3, 5, 3, 3, 13, 69),
+    (191, 1, 1, 7, 13, 1, 19, 1), (193, 1, 3, 7, 5, 13, 19, 59),
+    (203, 1, 1, 3, 9, 25, 29, 41), (211, 1, 3, 5, 13, 23, 1, 55),
+    (213, 1, 3, 7, 3, 13, 59, 17), (229, 1, 3, 1, 3, 5, 53, 69),
+    (239, 1, 1, 5, 5, 23, 33, 13), (241, 1, 1, 7, 7, 1, 61, 123),
+    (247, 1, 1, 7, 9, 13, 61, 49), (253, 1, 3, 3, 5, 3, 55, 33),
+    (285, 1, 3, 1, 15, 31, 13, 49, 245), (299, 1, 3, 5, 15, 31, 59, 63, 97),
+    (301, 1, 3, 1, 11, 11, 11, 77, 249), (333, 1, 3, 1, 11, 27, 43, 71, 9),
+    (351, 1, 1, 7, 15, 21, 11, 81, 45), (355, 1, 3, 7, 3, 25, 31, 65, 79),
+    (357, 1, 3, 1, 1, 19, 11, 3, 205), (361, 1, 1, 5, 9, 19, 21, 29, 157),
+    (369, 1, 3, 7, 11, 1, 33, 89, 185), (391, 1, 3, 3, 3, 15, 9, 79, 71),
+    (397, 1, 3, 7, 11, 15, 39, 119, 27), (425, 1, 1, 3, 1, 11, 31, 97, 225),
+    (451, 1, 1, 1, 3, 23, 43, 57, 177), (463, 1, 3, 7, 7, 17, 17, 37, 71),
+    (487, 1, 3, 1, 5, 27, 63, 123, 213), (501, 1, 1, 3, 5, 11, 43, 53, 133),
+    (529, 1, 3, 5, 5, 29, 17, 47, 173, 479), (539, 1, 3, 3, 11, 3, 1, 109, 9, 69),
+    (545, 1, 1, 1, 5, 17, 39, 23, 5, 343), (557, 1, 3, 1, 5, 25, 15, 31, 103, 499),
+    (563, 1, 1, 1, 11, 11, 17, 63, 105, 183), (601, 1, 1, 5, 11, 9, 29, 97, 231, 363),
+    (607, 1, 1, 5, 15, 19, 45, 41, 7, 383), (617, 1, 3, 7, 7, 31, 19, 83, 137, 221),
+    (623, 1, 1, 1, 3, 23, 15, 111, 223, 83), (631, 1, 1, 5, 13, 31, 15, 55, 25, 161),
+    (637, 1, 1, 3, 13, 25, 47, 39, 87, 257),
+)
 
 
 @dataclass(frozen=True)
@@ -255,10 +295,63 @@ def _integrate_mc(m, t, integrand, plan, threads) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+@lru_cache(maxsize=None)
+def _directions(d: int) -> np.ndarray:
+    """(d, 30) unscrambled direction numbers, bit 29 the most significant,
+    by the Bratley-Fox recurrence from the Joe-Kuo initial numbers."""
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for k in range(1, d):
+        poly, *row = _JOE_KUO[k - 1]
+        s = len(row)
+        for j in range(s, _SOBOL_BITS):
+            new = row[j - s]
+            for i in range(1, s + 1):
+                if (poly >> (s - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        v[k] = row
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of each uint32 entry, by an XOR fold."""
+    for s in (16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint32(s))
+    return x & np.uint32(1)
+
+
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of a scrambled d-dimensional Sobol sequence.
+
+    Linear matrix scrambling plus a digital shift, both drawn from
+    ``default_rng(seed)``; the points come in Gray-code order."""
+    if d > len(_JOE_KUO) + 1:
+        raise ParameterError(f"Sobol points are tabulated for at most "
+                             f"{len(_JOE_KUO) + 1} dimensions, got {d}")
+    if n > 1 << _SOBOL_BITS:
+        raise ParameterError(f"at most 2**{_SOBOL_BITS} Sobol points, got {n}")
+    rng = np.random.default_rng(seed)
+    up = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)  # 2^b
+    shift = rng.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ up
+    ltm = np.tril(rng.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    down = up[::-1]  # 2^(29 - b)
+    rows = ltm @ down  # row p of each matrix as an integer
+    bit = _parity(rows[:, :, None] & _directions(d)[:, None, :])  # (d, row p, direction j)
+    v = (bit * down[None, :, None]).sum(axis=1, dtype=np.uint32)
+    levels = max(n - 1, 0).bit_length()
+    q = np.empty((1 << levels, d), dtype=np.uint32)
+    q[0] = shift
+    for b in range(levels):
+        k = 1 << b
+        q[k:2 * k] = q[k - 1::-1] ^ v[:, b]
+    return q[:n] * 2.0**-_SOBOL_BITS
+
+
 def _integrate_qmc(m, t, integrand, plan, threads) -> tuple[float, float]:
     n_per = 1 << max(7, math.ceil(math.log2(max(plan.samples // _QMC_RANDOMIZATIONS, 1))))
     u = np.concatenate([
-        qmc.Sobol(d=2 * m, scramble=True, seed=substream_seed(plan.seed, r)).random(n_per)
+        _sobol(2 * m, n_per, substream_seed(plan.seed, r))
         for r in range(_QMC_RANDOMIZATIONS)
     ])
     chunks = [u[i:i + _QMC_CHUNK] for i in range(0, len(u), _QMC_CHUNK)]

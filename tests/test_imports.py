@@ -1,18 +1,21 @@
 """Source hygiene: every name a package or test module imports is used or
-exported, and every package name the benchmark wraps or calls exists."""
+exported, every package name the benchmark wraps or calls exists, and the
+package's cold start leaves scipy.stats and scipy.interpolate unloaded."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import critshe
 
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = sorted(pathlib.Path(critshe.__file__).parent.rglob("*.py")) + sorted(
-    pathlib.Path(__file__).parent.glob("*.py")
-)
+PACKAGE = sorted(pathlib.Path(critshe.__file__).parent.rglob("*.py"))
+MODULES = PACKAGE + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+SLOW_IMPORTS = ("scipy.stats", "scipy.interpolate")  # about 0.55 s of every CLI start
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -140,3 +143,30 @@ def test_benchmark_package_names_resolve(path):
     # name; a deletion that keeps every test green would still break them
     names = package_names(ast.parse(path.read_text(encoding="utf-8")))
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_cold_start_leaves_slow_scipy_modules_unloaded():
+    # a fresh interpreter runs the benchmark's warm-up (critshe.cli, the
+    # modules its subcommands import lazily, the first-call tables) from source
+    code = (
+        "import runpy, sys\n"
+        f"sys.path.insert(0, {str(pathlib.Path(critshe.__file__).parent.parent)!r})\n"
+        f"runpy.run_path({str(BENCHMARK / 'warmup.py')!r})['warm_up']()\n"
+        "import critshe.cli\n"
+        f"print(*(m for m in sys.modules if m.startswith({SLOW_IMPORTS!r})))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_never_imports_slow_scipy_modules(path):
+    # lazy imports inside functions included
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    assert sorted(n for n in names if n.startswith(SLOW_IMPORTS)) == []

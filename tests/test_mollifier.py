@@ -23,6 +23,8 @@ from critshe.mollifier import (
     CouplingSchedule,
     Mollifier,
     PairProfile,
+    _radial_convolution,
+    _Spline,
     beta_eps,
     beta_phi,
     beta_star,
@@ -112,6 +114,22 @@ class TestPairProfile:
         with pytest.raises(DomainError):
             PairProfile(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("radii, fault", [
+        ([0.0, 0.5, 0.5, 1.0, 1.5, 2.0], r"x\[2\] = 0.5 does not exceed x\[1\] = 0.5"),
+        ([0.0, 0.5, 1.0, 0.9, 1.5, 2.0], r"x\[3\] = 0.9 does not exceed x\[2\] = 1.0"),
+        ([0.0, 0.5, np.nan, 1.0, 1.5, 2.0], "finite"),
+        ([0.0, 1.0, 2.0], "at least 4 knots"),
+    ], ids=["repeated", "decreasing", "nan", "three"])
+    def test_bad_radii_named(self, radii, fault):
+        with pytest.raises(DomainError, match=fault):
+            PairProfile(np.array(radii), np.ones(len(radii)), 2.0)
+
+    def test_repeated_grid_radius_rejected(self, bump):
+        radii = np.linspace(0.0, 2.0, 65)
+        for bad in (np.insert(radii, 10, radii[10]), radii[::-1]):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                pair_profile(bump, grid=bad)
+
 
 class TestBetaPhi:
     def test_against_independent_quadrature_oracle(self, profile):
@@ -120,6 +138,53 @@ class TestBetaPhi:
     def test_against_monte_carlo_oracle(self, profile):
         mean, se = BETA_PHI_MC_ORACLE
         assert abs(beta_phi(profile) - mean) < 3.0 * se
+
+    def test_too_few_grid_points_rejected(self, profile):
+        with pytest.raises(DomainError, match="at least 4 knots"):
+            beta_phi(profile, n_grid=3)
+
+
+class TestSpline:
+    """The package's spline against the scipy ``CubicSpline`` it replaces."""
+
+    @staticmethod
+    def scipy_spline(x, y):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(x, y, extrapolate=False)
+
+    @staticmethod
+    def probes(x):
+        """A fine sweep past both ends, every knot and its two neighbours."""
+        return np.concatenate([np.linspace(x[0] - 0.1, x[-1] + 0.1, 20001), x,
+                               np.nextafter(x, np.inf), np.nextafter(x, -np.inf), [np.nan]])
+
+    def default_grids(self, profile):
+        # pair_profile's 801 radii on [0, 2R], and beta_phi's 801 on [0, 4R]
+        grid = np.linspace(0.0, 2.0 * profile.support_radius, 801)
+        conv = _radial_convolution(profile, profile, grid, profile.support_radius, 128, 128)
+        return [(profile.radii, profile.values), (grid, conv)]
+
+    def test_bit_identical_on_default_grids(self, profile):
+        for x, y in self.default_grids(profile):
+            ours, theirs = _Spline(x, y), self.scipy_spline(x, y)
+            for k in range(4):  # scipy stores the highest power first
+                assert np.array_equal(ours._c[k], theirs.c[3 - k])
+            r = self.probes(x)
+            assert np.array_equal(ours(r), theirs(r), equal_nan=True)
+            grid2d = r[:20000].reshape(100, 200).T  # any shape and memory order
+            assert np.array_equal(ours(grid2d), theirs(grid2d), equal_nan=True)
+
+    def test_graded_grid_with_row_interchanges(self):
+        # after eliminating row 0 the pivot of row 1 is dx0 + dx1 = 3 < dx2 = 5,
+        # so the solve takes dgtsv's row-interchange branch; the long last
+        # step makes it interchange the last two rows as well
+        x = np.cumsum(np.r_[0.0, 2.0, 1.0, 5.0, np.ones(15), 500.0])
+        assert x[3] - x[2] > x[2] - x[0]
+        y = np.sin(7.0 * x / x[-1])
+        ours, theirs = _Spline(x, y), self.scipy_spline(x, y)
+        r = self.probes(x)
+        assert np.allclose(ours(r), theirs(r), rtol=1e-13, atol=0.0, equal_nan=True)
 
 
 class TestCoupling:

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from critshe import shesim
 from critshe._rng import stream
 from critshe.errors import BlowupError, DomainError, ParameterError
 from critshe.mollifier import CouplingSchedule, Mollifier, beta_eps, pair_profile
@@ -69,6 +70,17 @@ class TestFieldParams:
     def test_grid_must_be_power_of_two(self):
         with pytest.raises(ParameterError):
             FieldParams(epsilon=EPS, beta_eps=1.0, domain=L, n_grid=96)
+
+    @pytest.mark.parametrize("n_type", [int, np.int64, np.int32])
+    def test_any_integer_grid_size(self, n_type):
+        p = FieldParams(0.25, 1.0, 16.0, n_type(256))
+        assert type(p.n_grid) is int and p.n_grid == 256
+        assert p == FieldParams(0.25, 1.0, 16.0, 256)
+
+    @pytest.mark.parametrize("n_grid", [256.0, "256", None])
+    def test_non_integer_grid_size_rejected(self, n_grid):
+        with pytest.raises(ParameterError, match="grid size"):
+            FieldParams(0.25, 1.0, 16.0, n_grid)
 
     def test_under_resolved_mollifier_rejected(self):
         with pytest.raises(ParameterError):
@@ -228,6 +240,21 @@ class TestTwoParticleOracle:
     def test_matches_centred_grid_values(self, t, f, z, eps, grid, expected):
         be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=0.0))
         assert two_particle_oracle(t, f, z, eps, be, **grid) == pytest.approx(expected, rel=1e-12)
+
+    def test_pair_profile_built_once_per_mollifier(self, monkeypatch):
+        builds = []
+
+        def counting(phi):
+            builds.append(phi)
+            return pair_profile(phi)
+
+        monkeypatch.setattr(shesim, "pair_profile", counting)
+        phi = PHI.scaled(1.0)  # a mollifier no earlier call has cached
+        be = beta_eps(CouplingSchedule(epsilon=0.25, beta_zero=0.0))
+        a, b = (two_particle_oracle(0.0625, F, Z, 0.25, be, n_grid=256, domain=16.0, phi=phi)
+                for _ in range(2))
+        assert len(builds) == 1 and a == b
+        assert Mollifier.bump() == PHI and hash(Mollifier.bump()) == hash(PHI)
 
     def test_zero_coupling_free_product(self):
         # at beta_eps = 0 the moment is <f, P_t z>^2 exactly

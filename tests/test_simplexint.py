@@ -21,7 +21,13 @@ from scipy.special import exp1
 
 from critshe._rng import stream
 from critshe.errors import AccuracyWarning, DomainError, IntegrandError, ParameterError
-from critshe.simplexint import IntegrationPlan, TimeVector, _importance_map_scaled, integrate
+from critshe.simplexint import (
+    IntegrationPlan,
+    TimeVector,
+    _importance_map_scaled,
+    _sobol,
+    integrate,
+)
 from critshe.specfun import jfn_times_t
 
 
@@ -251,3 +257,26 @@ class TestDeterminismAndDiagnostics:
             warnings.simplefilter("ignore", AccuracyWarning)
             value, _ = integrate(m, t, ConstOne(), plan)
         assert value > 0.0
+
+
+class TestSobol:
+    """The package's Sobol generator against the scipy engine it replaces."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_bit_identical_to_scipy(self, d):
+        from scipy.stats import qmc
+
+        for n in (128, 2048):
+            for seed in (0, 2026, 2**63, 2**64 - 1):
+                want = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_sobol(d, n, seed), want), (d, n, seed)
+
+    def test_last_tabulated_dimension(self):
+        from scipy.stats import qmc
+
+        want = qmc.Sobol(d=64, scramble=True, seed=5).random(256)
+        assert np.array_equal(_sobol(64, 256, 5), want)
+
+    def test_dimension_limit(self):
+        with pytest.raises(ParameterError, match="at most 64 dimensions"):
+            _sobol(65, 128, 1)
