@@ -74,7 +74,7 @@ from .shesim import (
     step,
     two_particle_oracle,
 )
-from .simplexint import IntegrationPlan, TimeVector, integrate
+from .simplexint import IntegrationPlan, integrate
 from .specfun import (
     BetaStar,
     GammaPolynomial,
@@ -106,7 +106,7 @@ __all__ = [
     "apply_in", "apply_out", "apply_med", "apply_J", "inner_product",
     "second_moment_closed_form",
     # simplex integration
-    "TimeVector", "IntegrationPlan", "integrate",
+    "IntegrationPlan", "integrate",
     # moment engine
     "MomentRequest", "MomentResult", "diagram_contribution", "correlation",
     "centered_third_moment", "semigroup_residual",

@@ -197,7 +197,7 @@ _COMMON = (
     _Opt("--output", "output", _text, help="envelope path ('-' or omitted: stdout)"),
     _Opt("--csv", "csv_path", _text, help="optional CSV table path"),
     _Opt("--threads", "threads", _int,
-         help="worker threads (default: CRITSHE_THREADS or all cores)"),
+         help="worker threads (default: all cores)"),
     _Opt("--stable-output", "stable_output", _bool, False,
          help="zero the timing fields for byte-identical envelopes"),
 )
@@ -289,11 +289,7 @@ def _resolve(command: str, given: dict) -> dict:
 def _threads(cfg: dict) -> int:
     t = cfg["threads"]
     if t is None:
-        env = os.environ.get("CRITSHE_THREADS")
-        try:
-            t = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ParameterError(f"CRITSHE_THREADS must be an integer, got {env!r}") from None
+        t = os.cpu_count() or 1
     if t < 1:
         raise ParameterError(f"thread count must be >= 1, got {t}")
     return t

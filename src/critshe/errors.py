@@ -52,7 +52,8 @@ class RankError(CritSheError, RuntimeError):
 
 
 class IntegrandError(CritSheError, RuntimeError):
-    """An integrand returned NaN/Inf; carries the offending time vector."""
+    """An integrand returned NaN/Inf; carries the offending time vector,
+    the tuple of its 2m+1 durations (tau_0, tau_1/2, tau_1, ..., tau_m)."""
 
     def __init__(self, message: str, time_vector=None):
         if time_vector is not None:

@@ -34,13 +34,14 @@ have underflowed.  The modes:
   30 bits; they equal scipy 1.17's ``qmc.Sobol(d, scramble=True,
   seed=seed).random(n)`` bit for bit.
 
-Results are bit-identical for a fixed seed and any worker count.  Monte
-Carlo sampling is partitioned into fixed-size blocks; block b draws from a
-counter-based stream keyed by (seed, b) and blocks are reduced in index
-order.  Quasi-Monte Carlo stacks the points of all randomizations into one
-batch, evaluates it in fixed-size contiguous row chunks (every row's value
-is independent of the chunking), and takes each randomization's mean over
-its own slice of rows.
+Results are bit-identical for a fixed seed and any worker count.  Both
+sampling modes stack their uniforms into one batch and evaluate it in
+fixed-size contiguous row chunks, spread over the workers (every row's
+value is independent of the chunking).  Monte Carlo draws its uniforms in
+fixed-size blocks, block b from a counter-based stream keyed by (seed, b),
+and reduces the blocks in index order.  Quasi-Monte Carlo stacks the points
+of all randomizations and takes each randomization's mean over its own
+slice of rows.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from ._rng import stream, substream_seed
 from .errors import AccuracyWarning, DomainError, IntegrandError, ParameterError
 
 __all__ = [
-    "TimeVector",
     "IntegrationPlan",
     "integrate",
 ]
@@ -66,7 +66,7 @@ __all__ = [
 _MODES = ("adaptive-quadrature", "monte-carlo", "quasi-monte-carlo")
 _BLOCK = 8192          # samples per RNG block (part of the determinism contract)
 _QMC_RANDOMIZATIONS = 8
-_QMC_CHUNK = 4096      # rows per QMC evaluation chunk (memory-bound; not a thread knob)
+_CHUNK = 4096          # rows per evaluation chunk (memory-bound; not a thread knob)
 _SOBOL_BITS = 30
 
 # Joe-Kuo primitive polynomials (leading and trailing bits included) and
@@ -102,39 +102,6 @@ _JOE_KUO = (
     (623, 1, 1, 1, 3, 23, 15, 111, 223, 83), (631, 1, 1, 5, 13, 31, 15, 55, 25, 161),
     (637, 1, 1, 3, 13, 25, 47, 39, 87, 257),
 )
-
-
-@dataclass(frozen=True)
-class TimeVector:
-    """Durations (tau_0, tau_1/2, tau_1, ..., tau_m): 2m+1 nonnegative reals.
-
-    Even positions are the regular (heat) slots tau_0..tau_m, odd positions
-    the interaction slots tau_1/2..tau_{m-1/2}.
-    """
-
-    durations: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        durations = tuple(float(x) for x in self.durations)
-        object.__setattr__(self, "durations", durations)
-        if len(durations) % 2 != 1:
-            raise DomainError(f"a time vector has 2m+1 entries, got {len(durations)}")
-        if any(not math.isfinite(x) or x < 0.0 for x in durations):
-            raise DomainError(f"durations must be finite and nonnegative, got {durations}")
-
-    @property
-    def m(self) -> int:
-        return len(self.durations) // 2
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.durations)
-
-    def integer_slots(self) -> tuple[float, ...]:
-        return self.durations[0::2]
-
-    def half_slots(self) -> tuple[float, ...]:
-        return self.durations[1::2]
 
 
 @dataclass(frozen=True)
@@ -224,7 +191,7 @@ def _weighted_values(
         durations[0::2] = tau_int[i]
         durations[1::2] = np.exp(log_half[i])
         raise IntegrandError(
-            "integrand returned a non-finite value", time_vector=TimeVector(tuple(durations))
+            "integrand returned a non-finite value", time_vector=tuple(durations.tolist())
         )
     return vals
 
@@ -271,25 +238,30 @@ def _sampled_values(integrand, m: int, t: float, u: np.ndarray) -> np.ndarray:
     return _weighted_values(integrand, tau_int, log_half, np.exp(log_w))
 
 
-def _sample_block(m, t, integrand, seed, block_index, block_size):
-    rng = stream(seed, block_index)
-    vals = _sampled_values(integrand, m, t, rng.random((block_size, 2 * m)))
-    return math.fsum(vals), math.fsum(vals * vals), block_size
+def _chunked_values(integrand, m: int, t: float, u: np.ndarray, threads: int) -> np.ndarray:
+    """``_sampled_values`` on the rows of u, evaluated in fixed _CHUNK-row
+    chunks over ``threads`` workers; every row's value is independent of
+    the chunking."""
+    chunks = [u[i:i + _CHUNK] for i in range(0, len(u), _CHUNK)]
+
+    def one(chunk: np.ndarray) -> np.ndarray:
+        return _sampled_values(integrand, m, t, chunk)
+
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.concatenate(list(pool.map(one, chunks)))
+    return np.concatenate([one(c) for c in chunks])
 
 
 def _integrate_mc(m, t, integrand, plan, threads) -> tuple[float, float]:
     n = plan.samples
-    sizes = [_BLOCK] * (n // _BLOCK)
-    if n % _BLOCK:
-        sizes.append(n % _BLOCK)
-    jobs = [(i, bs) for i, bs in enumerate(sizes)]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ib: _sample_block(m, t, integrand, plan.seed, ib[0], ib[1]), jobs))
-    else:
-        parts = [_sample_block(m, t, integrand, plan.seed, i, bs) for i, bs in jobs]
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
+    starts = range(0, n, _BLOCK)
+    u = np.concatenate([stream(plan.seed, b).random((min(_BLOCK, n - s), 2 * m))
+                        for b, s in enumerate(starts)])
+    vals = _chunked_values(integrand, m, t, u, threads)
+    blocks = [vals[s:s + _BLOCK] for s in starts]
+    total = math.fsum(math.fsum(v) for v in blocks)
+    total_sq = math.fsum(math.fsum(v * v) for v in blocks)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
@@ -354,16 +326,7 @@ def _integrate_qmc(m, t, integrand, plan, threads) -> tuple[float, float]:
         _sobol(2 * m, n_per, substream_seed(plan.seed, r))
         for r in range(_QMC_RANDOMIZATIONS)
     ])
-    chunks = [u[i:i + _QMC_CHUNK] for i in range(0, len(u), _QMC_CHUNK)]
-
-    def one(chunk: np.ndarray) -> np.ndarray:
-        return _sampled_values(integrand, m, t, chunk)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = np.concatenate(list(pool.map(one, chunks)))
-    else:
-        vals = np.concatenate([one(c) for c in chunks])
+    vals = _chunked_values(integrand, m, t, u, threads)
     means = np.array([np.mean(vals[r * n_per:(r + 1) * n_per])
                       for r in range(_QMC_RANDOMIZATIONS)])
     value = float(np.mean(means))

@@ -10,7 +10,8 @@ and its verification suite:
   together with its Laplace transform, which evaluates in closed form to
   1 / (log(-z) - b) whenever Re z < -e^b;
 * the modified Bessel function K0 and the planar resolvent kernel
-  (1/pi) K0(sqrt(-2 z) |x|) with principal branches;
+  (1/pi) K0(sqrt(-2 z) |x|) with principal branches, both taking K0 from
+  ``scipy.special`` (``k0`` on the real axis, ``kv`` off it);
 * the rising-factorial polynomials p_m(a) = a (a+1) ... (a+m) (with
   p_{-1} := 1) and the exact integral identity they satisfy;
 * the convolution identity
@@ -52,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, gammaln, k0, kv, polygamma
 
 from ._quad import gauss_legendre_01
 from .errors import AccuracyError, BranchCutError, DomainError, SingularityError
@@ -490,86 +491,16 @@ def conv_identity_residual(s: float, t: float, beta_star) -> float:
 # Modified Bessel function K0 and the planar resolvent kernel
 # ---------------------------------------------------------------------------
 
-def _k0_ascending(x):
-    """Ascending series for real x > 0 or complex x with Re x > 0.
-
-    Machine precision for |x| < 2; cancellation costs ~ e^(2|x|) eps beyond,
-    so at |x| = 10 at least 7 significant digits remain.
-    """
-    q = 0.25 * x * x
-    i0 = np.ones_like(x)
-    term = np.ones_like(x)
-    s = np.zeros_like(x)
-    h = 0.0
-    for k in range(1, 80):
-        term = term * q / (k * k)
-        i0 += term
-        h += 1.0 / k
-        s += term * h
-        scale = np.maximum(np.abs(i0), np.abs(s) + 1.0e-30)
-        if np.all(np.abs(term) * max(h, 1.0) < 1.0e-19 * scale):
-            break
-    return -(np.log(0.5 * x) + _EULER_GAMMA) * i0 + s
-
-
-def _k0_integral(x: np.ndarray) -> np.ndarray:
-    """Trapezoid rule on K0(x) = int_0^inf e^(-x cosh u) du.
-
-    The integrand is even with double-exponential decay, so the trapezoid
-    rule converges geometrically; h resolves the O(1/sqrt(x)) width of the
-    u = 0 peak and the grid extends to where x cosh u > 760.
-    """
-    h = min(0.08, 0.35 / math.sqrt(float(x.max())))
-    umax = float(np.arccosh(max(760.0 / float(x.min()), 2.0)))
-    n = int(math.ceil(umax / h)) + 1
-    u = np.arange(n) * h
-    f = np.exp(-np.outer(x, np.cosh(u)))
-    return h * (f.sum(axis=1) - 0.5 * f[:, 0])
-
-
-def _k0_asymptotic(x, min_terms: int = 12):
-    """Alternating large-|x| expansion, truncated at its smallest term.
-
-    ``x`` is real and positive, or complex with Re x > 0 (principal branch).
-    Returns (value, magnitude of the last retained term); the latter bounds
-    the truncation error of the divergent series.  On the real axis it is
-    an independent cross-check for x >~ 12, where the smallest term is below
-    1e-10.
-    """
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        term *= -((2 * k - 1) ** 2) / (k * 8.0 * x)
-        if abs(term) > prev and k > min_terms:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1.0e-19 * abs(s) or k > 60:
-            break
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * s, prev
-
-
 def bessel_k0(x):
-    """K0(x) for x > 0, scalar or array, to ~1e-13 relative accuracy.
+    """K0(x) for x > 0, scalar or array, from ``scipy.special.k0`` (Cephes).
 
-    Ascending series for x < 2; for x >= 2 the cosh-integral representation
-    (the series loses digits to cancellation, and the asymptotic expansion
-    bottoms out near 1e-8 at moderate x, so neither covers the middle range
-    at the accuracy required here).
+    A scalar gives a float; an array keeps its shape.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
         raise DomainError(f"K0 requires x > 0, got {x!r}")
-    out = np.empty_like(x_arr)
-    small = x_arr < 2.0
-    if small.any():
-        out[small] = _k0_ascending(x_arr[small])
-    if (~small).any():
-        out[~small] = _k0_integral(x_arr[~small])
-    return float(out[0]) if np.ndim(x) == 0 else out
+    out = k0(x_arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def green2d(z, x) -> complex:
@@ -577,9 +508,9 @@ def green2d(z, x) -> complex:
 
     Principal branches for the square root and logarithm, with cut on
     (-inf, 0]; hence z must avoid [0, inf) and the kernel is real positive
-    for real z < 0.  Off the real axis K0 comes from the ascending series for
-    |zeta| <= 10 and the asymptotic series beyond, to ~1e-7 relative in the
-    worst case; the real axis takes the machine-precision real path.
+    for real z < 0.  The real axis takes :func:`bessel_k0`, so the imaginary
+    part is exactly 0 there; off it K0 is ``scipy.special.kv(0, zeta)``
+    (AMOS; Amos, ACM TOMS 12 (1986) 265).
     """
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     r = float(np.hypot(x_arr[0], x_arr[1])) if x_arr.size == 2 else float(abs(x_arr[0]))
@@ -593,8 +524,7 @@ def green2d(z, x) -> complex:
     zeta = complex(np.sqrt(-2.0 * z)) * r  # Re zeta > 0 off the cut
     if zeta.imag == 0.0:
         return complex(bessel_k0(zeta.real) / math.pi)
-    k0 = _k0_ascending(zeta) if abs(zeta) <= 10.0 else _k0_asymptotic(zeta)[0]
-    return complex(k0) / math.pi
+    return complex(kv(0, zeta)) / math.pi
 
 
 # ---------------------------------------------------------------------------

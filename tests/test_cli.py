@@ -326,28 +326,11 @@ class TestExitCodes:
 
 
 class TestThreads:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRITSHE_THREADS", "2")
-        code, _ = run_to_file(tmp_path, ["diagrams", "--n", "3", "--m", "1"])
-        assert code == 0
-
-    def test_bad_thread_count_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("CRITSHE_THREADS", "0")
-        assert run(["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0"]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("CRITSHE_THREADS", "x")
-        assert run(["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0"]) == 2
-        assert_one_error_line(capsys)
-
-    def test_explicit_flag_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRITSHE_THREADS", "0")  # would be rejected
-        code, env = run_to_file(
-            tmp_path,
-            ["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0",
-             "--threads", "1"],
-        )
-        assert code == 0
-        assert env["config"]["threads"] == 1
+    def test_bad_thread_count_rejected(self, capsys):
+        for bad in ("0", "x"):
+            argv = ["moment", "--n", "2", "--t", "0.5", "--beta-star", "0.0", "--threads", bad]
+            assert run(argv) == 2, bad
+            assert_one_error_line(capsys)
 
 
 class TestVerify:

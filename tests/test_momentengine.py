@@ -22,7 +22,7 @@ from critshe.momentengine import (
     diagram_contribution,
     semigroup_residual,
 )
-from critshe.simplexint import _QMC_CHUNK, IntegrationPlan
+from critshe.simplexint import _CHUNK, IntegrationPlan
 
 F = ((1.0, (0.3, -0.2), 0.8),)
 F2 = ((0.6, (0.3, -0.2), 0.8), (0.4, (-1.0, 0.5), 0.8))
@@ -138,7 +138,7 @@ class TestDeterminismAndSeeds:
         # n = 3 runs the 3 x 3 closed forms; 8 randomizations of 1024 points
         # give each diagram more than one row chunk to spread over threads
         plan = IntegrationPlan(mode="quasi-monte-carlo", samples=8192, seed=11)
-        assert plan.samples > _QMC_CHUNK
+        assert plan.samples > _CHUNK
         req = MomentRequest(n=3, t=1.0, beta_star=0.0, f=F, z_ic=Z, m_max=2, plan=plan)
         with warnings.catch_warnings():
             # two orders are no basis for the tail rule; not the subject here

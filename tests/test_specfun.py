@@ -1,8 +1,8 @@
 """Special-function layer: interaction weight, K0, resolvent, polynomials.
 
 Reference values frozen from independent oracles:
-* K0 at 1 and 2, and the complex resolvent kernel, from mpmath's besselk
-  (50-digit working precision);
+* K0 at 1, 2, 15, 30, 60 and 700, and the complex resolvent kernel, from
+  mpmath's besselk (30- and 50-digit working precision);
 * the interaction-weight integral at log t + b = 0 from an mpmath
   tanh-sinh quadrature of the defining a-integral;
 * the Laplace and convolution identities are self-validating residuals.
@@ -32,6 +32,13 @@ from critshe.specfun import (
 # mpmath besselk(0, x), frozen
 K0_AT_1 = 0.4210244382407083
 K0_AT_2 = 0.1138938727495334
+# mpmath besselk(0, x) at large x, down to near the smallest normal double, frozen
+K0_LARGE = (
+    (15.0, 9.819536482396435e-08),
+    (30.0, 2.1324774964630563e-14),
+    (60.0, 1.4138978405591078e-27),
+    (700.0, 4.669776431685377e-306),
+)
 # mpmath tanh-sinh of int_0^inf e^(w a)/Gamma(a) da at w = 0, frozen
 JW_AT_0 = 2.8077702420285195
 # mpmath besselk(0, zeta)/pi for zeta = sqrt(-2 z) at r = 1, frozen
@@ -39,7 +46,7 @@ GREEN2D_COMPLEX = (
     (-1j, 0.02552772933654481 - 0.11372494740114737j),  # zeta = 1+1j
     (-2.5 + 6j, -0.006616779410811552 + 0.00773896117288993j),  # 3-2j
     (-32.5 - 36j, -7.546334058430976e-06 + 1.3554320159366145e-05j),  # 9+4j
-    (-59.5 - 60j, 3.1216220359513023e-07 + 5.973501954254258e-07j),  # 12+5j, asymptotic
+    (-59.5 - 60j, 3.1216220359513023e-07 + 5.973501954254258e-07j),  # 12+5j
 )
 
 
@@ -189,12 +196,9 @@ class TestBesselK0:
         expected = -math.log(x / 2.0) - 0.5772156649015329
         assert bessel_k0(x) == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_asymptotic_series_at_large_argument(self):
-        from critshe.specfun import _k0_asymptotic
-
-        for x in (15.0, 30.0, 60.0):
-            val, err = _k0_asymptotic(x)
-            assert bessel_k0(x) == pytest.approx(val, abs=2 * err + 1e-16 * val)
+    def test_frozen_large_argument_values(self):
+        for x, expected in K0_LARGE:
+            assert bessel_k0(x) == pytest.approx(expected, rel=1e-13, abs=0.0), x
 
     def test_wronskian_like_recurrence(self):
         # d/dx K0 = -K1 and K1' = -K0 - K1/x give a second-difference check:
@@ -236,6 +240,11 @@ class TestGreen2d:
     @pytest.mark.parametrize("z, expected", GREEN2D_COMPLEX)
     def test_complex_energy_matches_frozen_reference(self, z, expected):
         assert green2d(z, (1.0, 0.0)) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("z, expected", GREEN2D_COMPLEX)
+    def test_complex_energy_to_machine_precision(self, z, expected):
+        # abs=0: approx's default 1e-12 absolute slack is up to 1.5e-6 relative here
+        assert green2d(z, (1.0, 0.0)) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_rotation_invariance(self):
         z = -1.0 + 0.5j
