@@ -76,7 +76,6 @@ from .shesim import (
 )
 from .simplexint import IntegrationPlan, integrate
 from .specfun import (
-    BetaStar,
     GammaPolynomial,
     bessel_k0,
     green2d,
@@ -93,7 +92,7 @@ __all__ = [
     "ResolutionError", "ParameterError", "AccuracyError", "RankError",
     "IntegrandError", "BlowupError", "AccuracyWarning", "NonconvergenceWarning",
     # special functions
-    "BetaStar", "GammaPolynomial", "jfn", "jfn_times_t",
+    "GammaPolynomial", "jfn", "jfn_times_t",
     "bessel_k0", "green2d",
     # mollifier
     "Mollifier", "PairProfile", "pair_profile", "beta_phi", "beta_eps",

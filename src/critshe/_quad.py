@@ -65,7 +65,7 @@ def log_endpoint_rule_scaled(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return log_tau, w / l**2
 
 
-def split_exp_rule(T: float, n_per_panel: int = 12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_exp_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature for int_0^T g with essential boundary layers at both ends.
 
     Used for integrands such as rho(2s, x) rho(2(T-s), y) that vanish
@@ -76,8 +76,8 @@ def split_exp_rule(T: float, n_per_panel: int = 12) -> tuple[np.ndarray, np.ndar
 
     The v-integrand has an O(1)-width layer whose location depends on the
     integrand's own scales, so v is covered by width-3 composite panels with
-    ``n_per_panel`` Gauss-Legendre nodes each (12 gives ~3e-12 worst-case on
-    the heat-kernel products this serves, 16 reaches machine precision).
+    16 Gauss-Legendre nodes each, which reach machine precision on the
+    heat-kernel products this serves.
 
     Returns ``(s, complement, weight)``; the complement is T - s computed
     without cancellation (near the right endpoint T - s underflows the
@@ -85,7 +85,7 @@ def split_exp_rule(T: float, n_per_panel: int = 12) -> tuple[np.ndarray, np.ndar
     1/(T - s) factors).
     """
     edges = np.linspace(0.0, 45.0, 16)
-    x, w = gauss_legendre_01(n_per_panel)
+    x, w = gauss_legendre_01(16)
     widths = np.diff(edges)
     v = (edges[:-1, None] + widths[:, None] * x[None, :]).ravel()
     vw = (widths[:, None] * w[None, :]).ravel()

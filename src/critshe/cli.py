@@ -308,7 +308,7 @@ def _bump_constants(beta0: float):
 
     profile = pair_profile(Mollifier.bump())
     bphi = beta_phi(profile)
-    return profile, bphi, beta_star(beta0, bphi).value
+    return profile, bphi, beta_star(beta0, bphi)
 
 
 def _beta_star_of(cfg: dict) -> float:

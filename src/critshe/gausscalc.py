@@ -507,7 +507,7 @@ def bessel_identity_residual(tau: float, r_d: float, r_dp: float) -> float:
     """
     if tau <= 0.0 or r_d <= 0.0 or r_dp <= 0.0:
         raise DomainError("Bessel identity check needs positive tau and radii")
-    s, comp, w = split_exp_rule(tau, 16)
+    s, comp, w = split_exp_rule(tau)
     lhs = float(np.sum(
         w
         * np.exp(-r_d * r_d / (4.0 * comp)) / (4.0 * math.pi * comp)

@@ -7,21 +7,21 @@ Phi(x/eps).  Three derived constants feed the rest of the package:
 
 * the log-moment functional
 
-      beta_phi = int_{R^4} Phi(x) log|x - x'| Phi(x') dx dx'
-               = int_{R^2} (Phi * Phi)(u) log|u| du,
+      beta_phi = int_{R^4} Phi(x) log|x - x'| Phi(x') dx dx',
 
-  reduced to a one-dimensional radial integral with a dyadically graded mesh
-  absorbing the log singularity at u = 0;
+  which Newton's theorem for the planar logarithmic potential (the circle
+  average of log|x - x'| over |x'| = s is log max(|x|, s)) reduces to one
+  radial integral of Phi against log s and the mass of Phi inside radius s;
 * the coupling schedule beta_eps = 2 pi/|log eps| + 2 pi beta0/|log eps|^2;
 * the effective constant beta_star = 2 (log 2 + beta0 - beta_phi - gamma),
   gamma the Euler-Mascheroni constant, through which every limiting formula
   depends on (phi, beta0).
 
-All radial convolutions use Gauss-Legendre quadrature in (rho, theta); the
-profiles are C^infty with compact support, so fixed-order panels converge
-spectrally and no adaptive machinery is needed.  Tabulated profiles are read
-back through a not-a-knot cubic spline that reproduces scipy's
-``CubicSpline(x, y, extrapolate=False)`` bit for bit.
+The radial convolution and the beta_phi integral use fixed Gauss-Legendre
+rules; the profiles are C^infty with compact support, so fixed-order panels
+converge spectrally and no adaptive machinery is needed.  The tabulated pair
+profile is read back through a not-a-knot cubic spline that reproduces
+scipy's ``CubicSpline(x, y, extrapolate=False)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import gauss_legendre
+from ._quad import gauss_legendre, gauss_legendre_01
 from .errors import DomainError, ResolutionError
-from .specfun import _EULER_GAMMA as EULER_GAMMA, BetaStar
+from .specfun import _EULER_GAMMA as EULER_GAMMA
 
 __all__ = [
     "EULER_GAMMA",
@@ -157,11 +157,7 @@ class _Spline:
     Hermite coefficients, and the sum c0 + c1 s + c2 s^2 + c3 s^3 in
     s = r - x_i accumulated in ascending powers as ``PPoly`` does, on the
     interval ``searchsorted(x, r, side="right") - 1`` clipped to [0, n - 2].
-    On a uniform grid the interval comes from one rounding of (r - x_0)/h and
-    one comparison with a knot, which finds the same interval.
     """
-
-    _CHUNK = 8192  # points per evaluation pass, sized to stay in cache
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -188,48 +184,16 @@ class _Spline:
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self._x = x
         self._c = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)  # ascending powers
-        h = (x[-1] - x[0]) / (x.size - 1)
-        self._inv_h = 1.0 / h
-        # the nearest-knot rounding is off by at most one interval while
-        # every knot lies within half a cell of its uniform position
-        self._uniform = bool(np.all(np.abs((x - x[0]) / h - np.arange(x.size)) < 0.25))
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
         x = self._x
-        inside = r.size == 0 or (x[0] <= r.min() and r.max() <= x[-1])
-        flat = (r if inside else np.where((x[0] <= r) & (r <= x[-1]), r, x[0])).reshape(-1)
-        flat_out = out.reshape(-1)
-        for j in range(0, flat.size, self._CHUNK):
-            self._evaluate(flat[j:j + self._CHUNK], flat_out[j:j + self._CHUNK])
-        if not inside:
-            out[~((x[0] <= r) & (r <= x[-1]))] = np.nan
-        return out
-
-    def _evaluate(self, r: np.ndarray, out: np.ndarray) -> None:
-        x = self._x
-        if self._uniform:
-            # nearest knot k; the interval is k or k - 1
-            t = r - x[0]
-            t *= self._inv_h
-            t += 0.5
-            i = t.astype(np.intp)
-            np.minimum(i, x.size - 2, out=i)
-            i -= r < x[i]
-        else:
-            i = np.searchsorted(x, r, side="right") - 1
-            np.minimum(i, x.size - 2, out=i)
-        c0, c1, c2, c3 = self._c
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        c0, c1, c2, c3 = (c[i] for c in self._c)
         s = r - x[i]
-        np.multiply(c1[i], s, out=out)
-        out += c0[i]
         s2 = s * s
-        s *= s2
-        s2 *= c2[i]
-        out += s2
-        s *= c3[i]
-        out += s
+        out = c1 * s + c0 + c2 * s2 + c3 * (s * s2)
+        return np.where((x[0] <= r) & (r <= x[-1]), out, np.nan)
 
 
 class PairProfile:
@@ -260,30 +224,25 @@ class PairProfile:
         return _radial_mass(self, self.support_radius)
 
 
-def _radial_convolution(
-    f1: Callable[[np.ndarray], np.ndarray],
-    f2: Callable[[np.ndarray], np.ndarray],
-    r_grid: np.ndarray,
-    radius1: float,
-    n_rho: int = 96,
-    n_theta: int = 96,
-) -> np.ndarray:
-    """(f1 * f2)(r e_1) for radial f1, f2, reduced to a (rho, theta) integral.
+def _radial_convolution(f: Callable[[np.ndarray], np.ndarray], r_grid: np.ndarray,
+                        radius: float) -> np.ndarray:
+    """(f * f)(r e_1) for radial f supported in [0, radius], as a (rho, theta)
+    integral with 96 x 96 Gauss-Legendre nodes.
 
-    (f1 * f2)(x) = int_0^{R1} f1(rho) rho int_0^{2pi}
-                   f2(sqrt(|x|^2 + rho^2 - 2 |x| rho cos th)) dth drho;
+    (f * f)(x) = int_0^radius f(rho) rho int_0^{2pi}
+                 f(sqrt(|x|^2 + rho^2 - 2 |x| rho cos th)) dth drho;
     the theta integral is folded onto (0, pi) by symmetry.
     """
-    rho, w_rho = gauss_legendre(n_rho, 0.0, radius1)
-    theta, w_theta = gauss_legendre(n_theta, 0.0, math.pi)
+    rho, w_rho = gauss_legendre(96, 0.0, radius)
+    theta, w_theta = gauss_legendre(96, 0.0, math.pi)
     rho_m, theta_m = np.meshgrid(rho, theta, indexing="ij")
     cos_m = np.cos(theta_m)
-    f1_rho = f1(rho) * rho * w_rho
+    f_rho = f(rho) * rho * w_rho
     out = np.empty_like(r_grid)
     for i, r in enumerate(r_grid):
         d = np.sqrt(np.maximum(r * r + rho_m * rho_m - 2.0 * r * rho_m * cos_m, 0.0))
-        inner = 2.0 * np.sum(w_theta[None, :] * f2(d), axis=1)
-        out[i] = np.sum(f1_rho * inner)
+        inner = 2.0 * np.sum(w_theta[None, :] * f(d), axis=1)
+        out[i] = np.sum(f_rho * inner)
     return out
 
 
@@ -305,35 +264,29 @@ def pair_profile(m: Mollifier, grid=801) -> PairProfile:
             f"radial grid spacing exceeds R/16 = {R / 16.0:.3g}; "
             "the pair profile would be under-resolved"
         )
-    values = _radial_convolution(m, m, radii, R)
+    values = _radial_convolution(m, radii, R)
     return PairProfile(radii, values, 2.0 * R)
 
 
-def beta_phi(p: PairProfile, n_rho: int = 128, n_grid: int = 801) -> float:
-    """beta_phi = int (Phi * Phi)(u) log|u| du as a 1-D radial integral.
+def beta_phi(p: PairProfile) -> float:
+    """beta_phi = int int Phi(x) log|x - y| Phi(y) dx dy as one radial integral.
 
-    Phi * Phi is tabulated by the same radial-convolution reduction (support
-    radius 4R) on ``n_grid`` >= 4 uniform radii and read back through a
-    not-a-knot cubic spline, then integrated against 2 pi u log u on a
-    dyadically graded mesh toward u = 0 where the logarithm is integrably
-    singular.
+    By Newton's theorem the circle average of log|x - y| over |y| = s is
+    log max(|x|, s), so with M(s) = int_0^s t Phi(t) dt = s^2 int_0^1 u Phi(s u) du
+
+        beta_phi = 2 (2 pi)^2 int_0^{2R} s Phi(s) log(s) M(s) ds.
+
+    The s integral runs over 8 equal panels of 64 Gauss-Legendre nodes and
+    the u integral over the same 64 nodes; the integrand vanishes like
+    s^3 log s at s = 0, so no mesh grading is needed there.
     """
-    S = p.support_radius  # 2R
-    grid = np.linspace(0.0, 2.0 * S, n_grid)
-    conv_vals = _radial_convolution(p, p, grid, S, n_rho=n_rho, n_theta=n_rho)
-    conv = _Spline(grid, conv_vals)
-
-    def conv_clipped(u: np.ndarray) -> np.ndarray:
-        return np.maximum(conv(np.minimum(u, 2.0 * S)), 0.0)
-
-    total = 0.0
-    edges = [2.0 * S * 2.0 ** (-k) for k in range(60)]
-    edges = [e for e in edges if e > 1.0e-14] + [0.0]
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k + 1], edges[k]
-        u, w = gauss_legendre(24, lo, hi)
-        total += 2.0 * math.pi * float(np.sum(w * conv_clipped(u) * np.log(u) * u))
-    return total
+    x, w = gauss_legendre_01(64)
+    edges = np.linspace(0.0, p.support_radius, 9)
+    h = np.diff(edges)[:, None]
+    s = (edges[:-1, None] + h * x).ravel()
+    ws = (h * w).ravel()
+    mass_inside = s * s * (p(s[:, None] * x) @ (w * x))
+    return 2.0 * (2.0 * math.pi) ** 2 * float(np.sum(ws * s * p(s) * np.log(s) * mass_inside))
 
 
 @dataclass(frozen=True)
@@ -362,7 +315,7 @@ def beta_eps(s: CouplingSchedule) -> float:
     return value
 
 
-def beta_star(beta_zero: float, beta_phi_value: float) -> BetaStar:
+def beta_star(beta_zero: float, beta_phi_value: float) -> float:
     """beta_star = 2 (log 2 + beta0 - beta_phi - gamma).
 
     Computed through the difference beta0 - beta_phi so that shifting both
@@ -370,4 +323,4 @@ def beta_star(beta_zero: float, beta_phi_value: float) -> BetaStar:
     """
     if not (math.isfinite(beta_zero) and math.isfinite(beta_phi_value)):
         raise DomainError("beta_star requires finite inputs")
-    return BetaStar(2.0 * (math.log(2.0) + (beta_zero - beta_phi_value) - EULER_GAMMA))
+    return 2.0 * (math.log(2.0) + (beta_zero - beta_phi_value) - EULER_GAMMA)

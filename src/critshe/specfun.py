@@ -59,7 +59,6 @@ from ._quad import gauss_legendre_01
 from .errors import AccuracyError, BranchCutError, DomainError, SingularityError
 
 __all__ = [
-    "BetaStar",
     "GammaPolynomial",
     "jfn",
     "jfn_times_t",
@@ -102,20 +101,9 @@ _TAB_EDGES = np.concatenate([np.arange(-64.0, -8.0, 8.0), [-8.0, -4.0, -2.0, -1.
                              np.arange(0.0, _W_MAX + 0.25, 0.5)])
 
 
-@dataclass(frozen=True)
-class BetaStar:
-    """The effective coupling constant; any finite real value is admissible."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"coupling constant must be finite, got {self.value}")
-
-
 def _beta_value(beta_star) -> float:
-    """Accept either a BetaStar or a bare finite real."""
-    b = float(getattr(beta_star, "value", beta_star))
+    """The effective coupling constant as a float; any finite real is admissible."""
+    b = float(beta_star)
     if not math.isfinite(b):
         raise DomainError(f"coupling constant must be finite, got {b}")
     return b

@@ -298,7 +298,7 @@ def test_criterion_10_oracle_trend_toward_limit():
     f = ((1.0, (0.0, 0.0), 0.25),)
     z = ((1.0, (0.2, 0.1), 0.25),)
     t = 0.25
-    bstar = beta_star(0.0, beta_phi(pair_profile(Mollifier.bump()))).value
+    bstar = beta_star(0.0, beta_phi(pair_profile(Mollifier.bump())))
     limit = correlation(
         MomentRequest(n=2, t=t, beta_star=bstar, f=f, z_ic=z,
                       plan=IntegrationPlan(mode="adaptive-quadrature"))

@@ -91,7 +91,7 @@ class TestHeatFlow:
         s = product_state([[(2.0, (1.0, -1.0), 0.7)]])
         out = apply_heat(s, 0.5)
         got = float(evaluate(out, np.array([[1.0]]), np.array([[-1.0]]))[0])
-        assert got == pytest.approx(2.0 / (2 * math.pi * 1.2), rel=1e-13)
+        assert got == pytest.approx(2.0 / (2 * math.pi * 1.2), rel=1e-13, abs=0.0)
 
     def test_squeezed_heat_halves_merged_slot(self):
         s = product_state(G2)
@@ -127,7 +127,7 @@ class TestContractions:
         for pair in ((1, 2), (1, 3), (2, 3)):
             lhs = float(inner_product(apply_in(f, pair, 0.7), g)[0])
             rhs = float(inner_product(f, apply_out(g, pair, 0.7))[0])
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
     def test_equal_pair_contraction_identity(self):
         # S_12 P_t S*_12 = (4 pi t)^(-1) P_(t/2) on the merged variable
@@ -184,7 +184,7 @@ class TestContractions:
         np.testing.assert_allclose(got.means_x[0, 0], [(mx[0] + mx[2]) / 2, mx[1]], rtol=1e-7)
         np.testing.assert_allclose(got.means_y[0, 0], [(my[0] + my[2]) / 2, my[1]], rtol=1e-7)
         rho = heat2d(2 * t, (mx[0] - mx[2], my[0] - my[2]))
-        assert got.weights[0, 0] == pytest.approx(rho, rel=1e-6)
+        assert got.weights[0, 0] == pytest.approx(rho, rel=1e-6, abs=0.0)
 
     def test_unresolvable_contraction_is_repaired_with_warning(self):
         # S_12 P_t S*_12 with t below the resolution of the variance 0.5:
@@ -279,13 +279,13 @@ class TestInnerProduct:
         b = product_state([[(0.8, (-0.1, 0.3), 0.9)]])
         got = float(inner_product(a, b)[0])
         want = 1.3 * 0.8 * heat2d(1.4, (0.3, -0.7))
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_symmetry(self):
         f = product_state(F3)
         h = apply_heat(f, 0.4)
         assert float(inner_product(f, h)[0]) == pytest.approx(
-            float(inner_product(h, f)[0]), rel=1e-13
+            float(inner_product(h, f)[0]), rel=1e-13, abs=0.0
         )
 
     def test_monte_carlo_oracle_correlated_three_slots(self):
@@ -338,13 +338,13 @@ class TestSecondMomentClosedForm:
         f2 = ((1.0, (-0.2, 0.3), 0.6),)
         a = second_moment_closed_form(1.0, 0.5, f1, f2, self.Z)
         b = second_moment_closed_form(1.0, 0.5, f2, f1, self.Z)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_bilinearity_in_weights(self):
         scaled = ((2.0, (0.3, -0.2), 0.8),)
         a = second_moment_closed_form(1.0, 0.0, self.F, self.F, self.Z)
         b = second_moment_closed_form(1.0, 0.0, scaled, self.F, self.Z)
-        assert b == pytest.approx(2.0 * a, rel=1e-13)
+        assert b == pytest.approx(2.0 * a, rel=1e-13, abs=0.0)
 
     def test_monotone_in_beta(self):
         vals = [second_moment_closed_form(1.0, b, self.F, self.F, self.Z)

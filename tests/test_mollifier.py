@@ -5,6 +5,9 @@ Frozen oracle values:
   quadrature of int (Phi*Phi)(u) log|u| du (double-convolution assembled
   directly on a 2-D grid): -0.250063007551472;
 * a Monte Carlo estimate of the same integral: -0.25007774 +- 6.28e-5;
+* int (Phi*Phi)(u) log|u| du on the tabulated profile, with Phi*Phi by a
+  radial convolution of 256 x 256 polar nodes on 3201 radii, converged to
+  1e-13: -0.2500630075714149;
 * Phi(0) = int phi^2 from a plain Riemann sum on a fine Cartesian grid:
   0.5418154448230816;
 * beta_star at beta0 = 0 follows the frozen closed form
@@ -23,7 +26,6 @@ from critshe.mollifier import (
     CouplingSchedule,
     Mollifier,
     PairProfile,
-    _radial_convolution,
     _Spline,
     beta_eps,
     beta_phi,
@@ -34,6 +36,7 @@ from critshe.mollifier import (
 BETA_PHI_QUAD_ORACLE = -0.250063007551472  # independent quadrature route
 BETA_PHI_MC_ORACLE = (-0.25007774, 6.28e-5)  # Monte Carlo route: (mean, SE)
 PHI_AT_ZERO_RIEMANN = 0.5418154448230816  # independent Riemann-sum route
+BETA_PHI_CONVERGED = -0.2500630075714149  # refined convolution route
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +142,15 @@ class TestBetaPhi:
         mean, se = BETA_PHI_MC_ORACLE
         assert abs(beta_phi(profile) - mean) < 3.0 * se
 
-    def test_too_few_grid_points_rejected(self, profile):
-        with pytest.raises(DomainError, match="at least 4 knots"):
-            beta_phi(profile, n_grid=3)
+    def test_converged_value(self, profile):
+        # Newton's-theorem route against the refined convolution route
+        assert abs(beta_phi(profile) - BETA_PHI_CONVERGED) < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+    def test_scaling_identity(self, bump, profile, lam):
+        # Phi_lam(x) = lam^2 Phi(lam x) shifts the log-moment by -log lam
+        got = beta_phi(pair_profile(bump.scaled(lam)))
+        assert abs(got - (beta_phi(profile) - math.log(lam))) < 1e-11
 
 
 class TestSpline:
@@ -160,10 +169,8 @@ class TestSpline:
                                np.nextafter(x, np.inf), np.nextafter(x, -np.inf), [np.nan]])
 
     def default_grids(self, profile):
-        # pair_profile's 801 radii on [0, 2R], and beta_phi's 801 on [0, 4R]
-        grid = np.linspace(0.0, 2.0 * profile.support_radius, 801)
-        conv = _radial_convolution(profile, profile, grid, profile.support_radius, 128, 128)
-        return [(profile.radii, profile.values), (grid, conv)]
+        # pair_profile's 801 radii on [0, 2R]
+        return [(profile.radii, profile.values)]
 
     def test_bit_identical_on_default_grids(self, profile):
         for x, y in self.default_grids(profile):
@@ -190,12 +197,12 @@ class TestSpline:
 class TestCoupling:
     def test_beta_eps_leading_order(self):
         s = CouplingSchedule(beta_zero=0.0, epsilon=0.01)
-        assert beta_eps(s) == pytest.approx(2.0 * math.pi / abs(math.log(0.01)), rel=1e-14)
+        assert beta_eps(s) == pytest.approx(2.0 * math.pi / abs(math.log(0.01)), rel=1e-14, abs=0.0)
 
     def test_beta_eps_correction_term(self):
         L = abs(math.log(0.05))
         got = beta_eps(CouplingSchedule(beta_zero=1.5, epsilon=0.05))
-        assert got == pytest.approx(2 * math.pi / L + 2 * math.pi * 1.5 / L**2, rel=1e-14)
+        assert got == pytest.approx(2 * math.pi / L + 2 * math.pi * 1.5 / L**2, rel=1e-14, abs=0.0)
 
     def test_beta_eps_rejects_nonpositive_coupling(self):
         with pytest.raises(DomainError):
@@ -209,20 +216,20 @@ class TestCoupling:
 
     def test_beta_star_frozen_value(self, profile):
         # 2 (log 2 + 0 - beta_phi - gamma) with the frozen beta_phi
-        got = beta_star(0.0, beta_phi(profile)).value
+        got = beta_star(0.0, beta_phi(profile))
         assert got == pytest.approx(0.7319890464198098, abs=2e-10)
 
     def test_beta_star_shift_covariance(self):
         # beta0 -> beta0 + c and beta_phi -> beta_phi + c cancel exactly
-        a = beta_star(1.0, -0.25).value
-        b = beta_star(1.0 + 0.37, -0.25 + 0.37).value
+        a = beta_star(1.0, -0.25)
+        b = beta_star(1.0 + 0.37, -0.25 + 0.37)
         assert a == b
 
     @given(st.floats(min_value=-5, max_value=5),
            st.floats(min_value=-5, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_beta_star_is_affine(self, b0, bp):
-        got = beta_star(b0, bp).value
+        got = beta_star(b0, bp)
         want = 2.0 * (math.log(2.0) + (b0 - bp) - EULER_GAMMA)
         assert got == pytest.approx(want, abs=1e-12)
 

@@ -53,6 +53,10 @@ class TestMomentRequest:
         with pytest.raises(DomainError):
             MomentRequest(n=2, t=1.0, beta_star=0.0, f=F, z_ic=Z, m_max=0)
 
+    def test_non_finite_beta_star_rejected(self):
+        with pytest.raises(DomainError, match="coupling constant must be finite"):
+            MomentRequest(n=2, t=1.0, beta_star=math.nan, f=F, z_ic=Z)
+
     def test_bad_mixture_rejected(self):
         with pytest.raises(DomainError):
             MomentRequest(n=2, t=1.0, beta_star=0.0, f=((1.0, (0, 0), -1.0),), z_ic=Z)
@@ -82,7 +86,7 @@ class TestFirstMoment:
         req = MomentRequest(n=1, t=1.3, beta_star=0.7, f=F, z_ic=Z)
         res = correlation(req)
         want = heat2d(0.8 + 1.3 + 0.5, (0.3 - 0.0, -0.2 - 0.1))
-        assert res.total == pytest.approx(want, rel=1e-13)
+        assert res.total == pytest.approx(want, rel=1e-13, abs=0.0)
         assert res.free_term == res.total
         assert res.contributions == {}
         assert res.truncation_tail_estimate == 0.0
@@ -99,14 +103,14 @@ class TestSecondMomentAgainstClosedForm:
         req = MomentRequest(n=2, t=t, beta_star=beta, f=(F, F2), z_ic=Z, plan=QUAD)
         res = correlation(req)
         oracle = second_moment_closed_form(t, beta, F, F2, Z)
-        assert res.total == pytest.approx(oracle, rel=1e-9)
+        assert res.total == pytest.approx(oracle, rel=1e-9, abs=0.0)
         assert res.truncation_tail_estimate == 0.0  # m = 2 has no diagrams
 
     def test_total_is_free_plus_contributions(self):
         req = MomentRequest(n=2, t=1.0, beta_star=0.5, f=F, z_ic=Z, plan=QUAD)
         res = correlation(req)
         recon = res.free_term + math.fsum(v for v, _ in res.contributions.values())
-        assert res.total == pytest.approx(recon, rel=1e-14)
+        assert res.total == pytest.approx(recon, rel=1e-14, abs=0.0)
 
     def test_sampling_route_within_errors(self):
         plan = IntegrationPlan(mode="quasi-monte-carlo", samples=16384, seed=4)
@@ -242,7 +246,7 @@ class TestCenteredThirdMoment:
         ).total
         for d, (v, _) in res3.contributions.items():
             assert classify(d)
-            assert v == pytest.approx(pair_value * spectator, rel=1e-10)
+            assert v == pytest.approx(pair_value * spectator, rel=1e-10, abs=0.0)
 
 
 class TestSemigroupResidual:

@@ -101,7 +101,7 @@ class TestSampling:
         p = FieldParams(epsilon=EPS, beta_eps=1.0, domain=L, n_grid=N)
         v, se = moment_at(1, 0.0, p, replicas=100, seed=1)
         assert v == pytest.approx(riemann(sample_mixture(F, L, N), sample_mixture(Z, L, N)),
-                                  rel=4e-16)
+                                  rel=4e-16, abs=0.0)
         assert se == 0.0
 
     def test_initial_state(self):
@@ -122,7 +122,7 @@ class TestNoise:
         fields = np.stack([noise_increment(p, dt, rng) for _ in range(800)])
         assert fields.size >= 1_000_000
         target = dt * phi0 / EPS**2
-        assert float(np.var(fields)) == pytest.approx(target, rel=1e-2)
+        assert float(np.var(fields)) == pytest.approx(target, rel=1e-2, abs=0.0)
 
     def test_increment_has_zero_mean_scaling(self):
         p = FieldParams(epsilon=EPS, beta_eps=1.0, domain=L, n_grid=N)
@@ -166,7 +166,7 @@ class TestMomentEstimation:
         v0, s0 = moment_at(2, 0.0, coupled_params, replicas=100, seed=5)
         fz = riemann(sample_mixture(F, L, N), sample_mixture(Z, L, N))
         # replica averaging of identical values costs at most ~1 ulp each
-        assert v0 == pytest.approx(fz * fz, rel=4e-16)
+        assert v0 == pytest.approx(fz * fz, rel=4e-16, abs=0.0)
         assert s0 == 0.0
 
     def test_thread_count_does_not_change_bits(self, coupled_params):
@@ -239,7 +239,7 @@ class TestTwoParticleOracle:
     ], ids=["prelimit-t0.0625", "prelimit-t0.125", "two-component", "automatic-domain"])
     def test_matches_centred_grid_values(self, t, f, z, eps, grid, expected):
         be = beta_eps(CouplingSchedule(epsilon=eps, beta_zero=0.0))
-        assert two_particle_oracle(t, f, z, eps, be, **grid) == pytest.approx(expected, rel=1e-12)
+        assert two_particle_oracle(t, f, z, eps, be, **grid) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_pair_profile_built_once_per_mollifier(self, monkeypatch):
         builds = []
@@ -267,7 +267,7 @@ class TestTwoParticleOracle:
         zt = np.fft.irfft2(decay * np.fft.rfft2(sample_mixture(Z, L, n_ref)),
                            s=(n_ref, n_ref))
         free = (L / n_ref) ** 2 * float(np.sum(sample_mixture(F, L, n_ref) * zt))
-        assert val == pytest.approx(free * free, rel=1e-6)
+        assert val == pytest.approx(free * free, rel=1e-6, abs=0.0)
 
     def test_splitting_is_first_order(self):
         # halving dt should halve the splitting error: ratio ~ 2
