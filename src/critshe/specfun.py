@@ -22,27 +22,35 @@ Everything involving j is routed through the single-variable reduction
 
       t * j(t, b) = JW(log t + b),   JW(w) := int_0^inf e^(a w) / Gamma(a) da,
 
-which makes the quadrature nodes independent of t and keeps evaluation
-stable when t underflows: only log t enters, so callers integrating against
-j near t = 0 should use :func:`jfn_times_t` with the log-time argument.
+which keeps evaluation stable when t underflows: only log t enters, so
+callers integrating against j near t = 0 should use :func:`jfn_times_t`
+with the log-time argument.
 
-JW is computed by one two-panel Gauss-Legendre scheme, split at a = 1.
-Panel A, on (0, 1), uses 1/Gamma(a) = a / Gamma(1+a); panel B, on (1, acut),
-is truncated where its integrand has dropped 45 nats below its peak.  The
-same panels give JW, log JW (panel B summed relative to its peak value, for
-the Laplace tails) and the small-t moments of the Laplace check.  JW is
-calibrated to ~5e-15 relative accuracy against 40-digit reference values for
-w in [-3000, 6.5].  Beyond w ~ 6.5 the value overflows double precision (JW
-grows like exp(e^w)); log JW has no such ceiling, but a panel-B cut beyond
-a = 1e6 (w above ~ 13.8) raises AccuracyError instead of truncating.
+JW(w) is x nu'(x) at x = e^w for the Volterra function
+nu(x) = int_0^inf x^a / Gamma(a + 1) da, and
+nu(x) = e^x - int_0^inf e^(-x u) / (u (pi^2 + log^2 u)) du (Erdelyi et al.,
+Higher Transcendental Functions III, section 18.3; Apelblat, Volterra
+Functions, 2008).  With u = e^(y - w) this gives
+
+      JW(w) = e^(w + e^w) + int_R e^(y - e^y) / (pi^2 + (y - w)^2) dy,
+
+one closed-form term and a remainder that a 219-node trapezoid sum in y
+resolves to about 7e-18 (the integrand is analytic in a strip of half-width
+pi/2).  At w = 0 JW is the Fransen-Robinson constant.  Against mpmath
+values of the defining a-integral at 150 points, JW is within 4.4e-16
+relative for w in [-1e4, 0], 1.7e-15 on [0, 3] and 6.4e-14 on [3, 6.5],
+where rounding e^w ~ 665 alone moves e^(e^w) by 7e-14.  Beyond w = 6.5 JW
+overflows double precision (it grows like exp(e^w)); log JW is the
+logaddexp of w + e^w and the log of the remainder, closed form for every
+finite w.
 
 :func:`jfn_times_t`, the per-point path of every diagram integrand, reads a
 piecewise Chebyshev table of JW instead, built once per process from one
-batched call of that scheme on 625 nodes (25 panels of degree 24): JW w^2
-in x = -1/w for w < -64, JW on [-64, 0) and log JW on [0, 6.5].  It matches the quadrature to 1e-13
-relative for w <= 3 and to 2e-12 up to 6.5, where one ulp of log JW ~ 665
-is already 1.5e-13.  :func:`jfn` and the identity checks keep the
-quadrature, and :func:`jfn` its embedded-pair error control.
+batched call of JW on 625 nodes (25 panels of degree 24): JW w^2 in
+x = -1/w for w < -64, JW on [-64, 0) and log JW on [0, 6.5].  It matches
+the sum to 1e-13 relative for w <= 3 and to 2e-12 up to 6.5, where one ulp
+of log JW ~ 665 is already 1.5e-13.  :func:`jfn` and the identity checks
+evaluate the sum itself, and :func:`jfn` compares it at two step sizes.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln, k0, kv, polygamma
+from scipy.special import k0, kv
 
-from ._quad import gauss_legendre_01
+from ._quad import gauss_legendre_01, log_endpoint_rule_scaled
 from .errors import AccuracyError, BranchCutError, DomainError, SingularityError
 
 __all__ = [
@@ -72,21 +80,10 @@ __all__ = [
 # Euler-Mascheroni constant, 16 significant digits (re-exported publicly by
 # the mollifier module, which owns the coupling-constant bookkeeping).
 _EULER_GAMMA = 0.5772156649015329
-_PSI_ONE = -_EULER_GAMMA  # digamma(1)
 
 # JW(w) ~ exp(e^w); e^6.5 = 665 keeps the value below the double-precision
 # overflow threshold exp(709.8) with margin.
 _W_MAX = 6.5
-
-# Number of nats below the running maximum at which integrands are truncated;
-# e^-45 = 2.9e-20 is below double-precision resolution of the total.
-_NAT_DROP = 45.0
-
-# Panel A covers a in (0, _SPLIT), panel B a in (_SPLIT, acut) with acut at
-# most _CUT_CAP; for w <= _W_B_MIN panel B is below e^-45 of the total.
-_SPLIT = 1.0
-_CUT_CAP = 1.0e6
-_W_B_MIN = -48.0
 
 # Largest relative gap jfn accepts between its coarse and fine resolutions.
 _JFN_REL_TOL = 1.0e-10
@@ -113,126 +110,17 @@ def _beta_value(beta_star) -> float:
 # Core reduction JW(w) = int_0^inf e^(a w) / Gamma(a) da
 # ---------------------------------------------------------------------------
 
-def _panel_a_rules(w: np.ndarray, ns: int):
-    """Quadrature rules of panel A = int_0^_SPLIT e^(a w) a / Gamma(1 + a) da.
+def _remainder(w: np.ndarray, step: float = 0.25) -> np.ndarray:
+    """int_R e^(y - e^y) / (pi^2 + (y - w)^2) dy on a flat array of w.
 
-    Yields (rows, a, terms, div) for each nonempty one of two row sets of w:
-    w >= -2, and w < -2, where the nodes follow s = a |w|.  On those rows
-    panel A is sum(terms) / div; the Laplace check weights the same terms by
-    1/(a + k).
+    Trapezoid sum over y in [-50, 4.5], which holds all but e^-50 of the
+    mass of e^(y - e^y); the integrand is analytic for |Im y| < pi/2, so the
+    sum errs by about e^(-pi^2 / step) (7e-18 at step 1/4, 219 nodes).
     """
-    xs, ws = gauss_legendre_01(ns)
-    near = w >= -2.0
-    if near.any():
-        a = _SPLIT * xs[None, :]
-        yield (near, a, ws * np.exp(a * w[near, None]) * a / np.exp(gammaln(1.0 + a)),
-               1.0 / _SPLIT)
-    far = ~near
-    if far.any():
-        # s = a |w| resolves the e^(-s) decay uniformly
-        smax = np.minimum(_SPLIT * (-w[far]), _NAT_DROP)[:, None]
-        s = xs[None, :] * smax
-        a = s / (-w[far, None])
-        yield far, a, ws * smax * np.exp(-s) * a / np.exp(gammaln(1.0 + a)), -w[far]
-
-
-def _panel_a(w: np.ndarray, ns: int) -> np.ndarray:
-    """Integral over a in (0, _SPLIT) of e^(a w) a / Gamma(1 + a)."""
-    out = np.zeros_like(w)
-    for rows, _, terms, div in _panel_a_rules(w, ns):
-        out[rows] = np.sum(terms, axis=1) / div
-    return out
-
-
-def _peak_location(w: np.ndarray) -> np.ndarray:
-    """Solve psi(a) = w for the maximizer of a w - lgamma(a) (a >= 1)."""
-    astar = np.ones_like(w)
-    big = w > _PSI_ONE
-    if big.any():
-        x = np.maximum(np.exp(w[big]), 1.5)
-        for _ in range(80):
-            step = (digamma(x) - w[big]) / polygamma(1, x)
-            x -= step
-            if np.all(np.abs(step) <= 1.0e-12 * np.abs(x)):
-                break
-        astar[big] = np.maximum(x, 1.0)
-    return astar
-
-
-def _panel_b_cut(w: np.ndarray, astar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper truncation acut where a w - lgamma(a) has dropped _NAT_DROP nats
-    below its panel-B maximum fmax; returns (acut, fmax).
-
-    Raises AccuracyError where acut would exceed _CUT_CAP.
-    """
-    peak = np.maximum(astar, _SPLIT)
-    fmax = peak * w - gammaln(peak)
-    hi = peak + 1.0
-    for _ in range(40):
-        growing = hi * w - gammaln(hi) > fmax - _NAT_DROP
-        if not growing.any():
-            break
-        hi[growing] *= 1.6
-    lo = peak.copy()
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        keep = mid * w - gammaln(mid) > fmax - _NAT_DROP
-        lo[keep] = mid[keep]
-        hi[~keep] = mid[~keep]
-    if np.any(hi > _CUT_CAP):
-        raise AccuracyError(
-            f"interaction-weight panel B needs a cut beyond a = {_CUT_CAP:g} "
-            f"(w up to {float(w.max()):.6g})",
-            estimate=math.nan,
-            error_bound=math.inf,
-        )
-    return hi, fmax
-
-
-def _panel_b(w: np.ndarray, ns: int, nb: int, relative: bool = False):
-    """Integral over a in (_SPLIT, acut) of e^(a w - lgamma(a)), with fmax.
-
-    Returns (integral, fmax), fmax being the panel maximum of a w - lgamma(a);
-    relative=True divides the integral by e^fmax, so that log JW can add fmax
-    back where e^fmax overflows.  Both are 0 for w <= _W_B_MIN.
-    """
-    out = np.zeros_like(w)
-    top = np.zeros_like(w)
-    active = w > _W_B_MIN
-    if not active.any():
-        return out, top
-    wv = w[active]
-    astar = _peak_location(wv)
-    acut, fmax = _panel_b_cut(wv, astar)
-    xs, ws = gauss_legendre_01(ns)
-    xb, wb = gauss_legendre_01(nb)
-
-    def integral(rows, a0, a1, xn, wn):
-        width = np.maximum(a1 - a0, 0.0)
-        a = a0[:, None] + width[:, None] * xn[None, :]
-        f = a * wv[rows, None] - gammaln(a)
-        if relative:
-            f -= fmax[rows, None]
-        return width * np.sum(wn * np.exp(f, out=f), axis=1)  # in place: one array fewer
-
-    pb = np.zeros_like(wv)
-    spv = np.full_like(wv, _SPLIT)
-    flat = astar <= max(3.0, _SPLIT)
-    pb[flat] = integral(flat, spv[flat], acut[flat], xb, wb)
-    # resolve the Gaussian-width-sqrt(astar) peak with its own panel
-    peaked = ~flat
-    ap, cp, sp = astar[peaked], acut[peaked], spv[peaked]
-    sd = np.sqrt(ap)
-    lo1 = np.maximum(sp, ap - 10.0 * sd)
-    hi1 = np.minimum(cp, ap + 10.0 * sd)
-    pb[peaked] = (
-        integral(peaked, sp, lo1, xs, ws)
-        + integral(peaked, lo1, hi1, xb, wb)
-        + integral(peaked, hi1, cp, xs, ws)
-    )
-    out[active] = pb
-    top[active] = fmax
-    return out, top
+    y = -50.0 + step * np.arange(int(54.5 / step) + 1)
+    d = y - w[:, None]
+    with np.errstate(over="ignore"):  # |w| > 1e154: d * d = inf, remainder 0
+        return np.sum(step * np.exp(y - np.exp(y)) / (np.pi**2 + d * d), axis=1)
 
 
 def _check_below_overflow(w: np.ndarray) -> None:
@@ -244,29 +132,23 @@ def _check_below_overflow(w: np.ndarray) -> None:
         )
 
 
-def _jw(w, ns: int = 48, nb: int = 96) -> np.ndarray:
-    """JW(w) = int_0^inf e^(a w) / Gamma(a) da, vectorized over w <= _W_MAX."""
+def _jw(w, step: float = 0.25) -> np.ndarray:
+    """JW(w) = e^(w + e^w) + _remainder(w, step), vectorized over w <= _W_MAX.
+
+    step is the remainder's trapezoid step; only jfn's coarse estimate
+    changes it.
+    """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     _check_below_overflow(w)
-    shape = w.shape
-    w = w.ravel()
-    out = _panel_a(w, ns) + _panel_b(w, ns, nb)[0]
-    return out.reshape(shape)
+    flat = w.ravel()
+    return (np.exp(flat + np.exp(flat)) + _remainder(flat, step)).reshape(w.shape)
 
 
 def _jw_log(w) -> np.ndarray:
-    """log JW(w), stable for arbitrarily large w (used for Laplace tails).
-
-    Panel B is summed relative to its peak value e^fmax, so the exp(e^w)
-    growth of JW never materializes as a floating-point value.
-    """
+    """log JW(w) for any finite w; e^(w + e^w) never materializes."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    shape = w.shape
-    w = w.ravel()
-    pb, fmax = _panel_b(w, 48, 96, relative=True)
-    with np.errstate(divide="ignore"):  # log 0 = -inf where panel B is empty
-        lb = fmax + np.log(pb)
-    return np.logaddexp(np.log(_panel_a(w, 48)), lb).reshape(shape)
+    flat = w.ravel()
+    return np.logaddexp(flat + np.exp(flat), np.log(_remainder(flat))).reshape(w.shape)
 
 
 @lru_cache(maxsize=None)
@@ -325,18 +207,18 @@ def _jw_tabulated(w: np.ndarray) -> np.ndarray:
 def jfn(t, beta_star):
     """The interaction weight j(t, b) = int_0^inf t^(a-1) e^(b a)/Gamma(a) da.
 
-    Accepts a scalar or array of times t > 0.  The integral is evaluated by
-    the calibrated two-panel scheme at two resolutions; if the embedded pair
-    disagrees beyond _JFN_REL_TOL an AccuracyError carrying the fine estimate
-    and the observed bound is raised.
+    Accepts a scalar or array of times t > 0.  JW is summed at trapezoid
+    steps 1/3 and 1/4; if the pair disagrees beyond _JFN_REL_TOL an
+    AccuracyError carrying the fine estimate and the observed bound is
+    raised.
     """
     b = _beta_value(beta_star)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
         raise DomainError(f"time must be positive and finite, got {t!r}")
     w = np.log(t_arr) + b
-    coarse = _jw(w, 48, 96)
-    fine = _jw(w, 72, 144)
+    coarse = _jw(w, 1.0 / 3.0)
+    fine = _jw(w)
     err = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1.0e-300)
     if np.any(err > _JFN_REL_TOL):
         raise AccuracyError(
@@ -357,7 +239,7 @@ def jfn_times_t(log_t, beta_star):
     expected to fold the 1/t jacobian into its substitution analytically.
 
     Values come from the Chebyshev table of JW that the first call builds
-    from the quadrature scheme (1e-13 relative for log t + b <= 3, 2e-12 up
+    from JW's trapezoid sum (1e-13 relative for log t + b <= 3, 2e-12 up
     to 6.5); there is no error control per call, which is what :func:`jfn`
     is for.  NaN gives NaN, log t = -inf gives 0, and log t + b > 6.5
     raises AccuracyError.
@@ -372,11 +254,13 @@ def jfn_times_t(log_t, beta_star):
 def jfn_laplace_residual(z, beta_star) -> float:
     """|int_0^inf e^(z t) j(t, b) dt  -  1/(log(-z) - b)| for Re z < -e^b.
 
-    The transform is computed by a hybrid rule: on (0, delta) the exponential
-    is expanded so each term reduces to a t-free a-integral (handling the
-    1/(t log^2 t) endpoint analytically), and on (delta, T) a composite
-    Gauss-Legendre rule in y = log t is used, with T grown until the
-    integrand has decayed 50 nats below unity.  Both pieces use JW's panels.
+    The transform is computed by a hybrid rule: on (0, delta) the
+    logarithmic-endpoint rule t = delta e^(1 - 1/l) maps the 1/(t log^2 t)
+    endpoint of e^(z t) JW(log t + b) / t to a bounded integrand, and on
+    (delta, T) a composite Gauss-Legendre rule in y = log t is used, with T
+    grown until the integrand, summed in log space, has decayed 50 nats
+    below unity.  Where that takes T beyond 1e9 (Re z + e^b above about
+    -5e-8) AccuracyError is raised instead of truncating.
     """
     b = _beta_value(beta_star)
     z = complex(z)
@@ -387,25 +271,11 @@ def jfn_laplace_residual(z, beta_star) -> float:
         )
     target = 1.0 / (np.log(-z) - b)
 
-    # --- small-t piece: sum_k (z delta)^k / k! * A_k with
-    #     A_k = int_0^inf delta^a e^(b a) / ((a + k) Gamma(a)) da,
-    #     on panel A's nodes and a 128-node rule over panel B
+    # --- small-t piece on (0, delta): e^(z t) JW(log t + b) / t has a
+    #     1/(t log^2 t) endpoint, which the log-endpoint rule resolves
     delta = min(0.25 / abs(z), 0.25 * math.exp(-b), 0.05)
-    w = np.array([math.log(delta) + b])  # < log(0.25) < psi(1): panel B decays
-    kmax = 60
-    ks = np.arange(kmax)[:, None]
-    ((_, a, terms, div),) = _panel_a_rules(w, 64)  # one point, one set of rows
-    A = np.sum(terms / (a + ks), axis=1) / div
-    if w[0] > _W_B_MIN:
-        acut, _ = _panel_b_cut(w, _peak_location(w))
-        xb, wb = gauss_legendre_01(128)
-        width = acut - _SPLIT
-        a = _SPLIT + width * xb
-        terms = wb * width * np.exp(a * w - gammaln(a))
-        A = A + np.sum(terms / (a + ks), axis=1)
-    zd = z * delta  # |zd| <= 0.25 so the series converges rapidly
-    terms = np.cumprod(np.concatenate([[1.0 + 0.0j], zd / np.arange(1.0, kmax)]))
-    small = np.sum(terms * A)
+    log_t, weight = log_endpoint_rule_scaled(delta, 64)
+    small = np.sum(weight * np.exp(z * np.exp(log_t)) * _jw(log_t + b))
 
     # --- mid + tail piece on (delta, T) in y = log t
     T = max(1.0, 4.0 * delta)

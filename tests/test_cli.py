@@ -367,8 +367,9 @@ class TestBetaconst:
         assert code == 0
         r = env["results"]
         assert r["euler_gamma"]["value"] == pytest.approx(0.5772156649015329, abs=0)
-        assert r["beta_phi"]["value"] == pytest.approx(-0.25006300755149247, abs=1e-10)
-        assert r["beta_star"]["value"] == pytest.approx(0.7319890464198098, abs=2e-10)
+        # the converged beta_phi and its beta_star = 2 (log 2 - beta_phi - gamma)
+        assert r["beta_phi"]["value"] == pytest.approx(-0.2500630075714149, abs=1e-12)
+        assert r["beta_star"]["value"] == pytest.approx(0.7319890464596546, abs=1e-12)
         assert r["pair_profile_at_zero"]["value"] == pytest.approx(
             0.5418154448231021, abs=1e-10
         )

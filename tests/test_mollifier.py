@@ -1,9 +1,10 @@
 """Mollifier, pair profile, and coupling constants.
 
 Frozen oracle values:
-* beta_phi for the reference bump from an independent high-order polar
-  quadrature of int (Phi*Phi)(u) log|u| du (double-convolution assembled
-  directly on a 2-D grid): -0.250063007551472;
+* beta_phi for the reference bump from the double-convolution route that
+  preceded Newton's theorem, at its default resolution: -0.250063007551472.
+  It is not independent of the old code and is 2.0e-11 off the converged
+  value below, hence its 5e-11 tolerance;
 * a Monte Carlo estimate of the same integral: -0.25007774 +- 6.28e-5;
 * int (Phi*Phi)(u) log|u| du on the tabulated profile, with Phi*Phi by a
   radial convolution of 256 x 256 polar nodes on 3201 radii, converged to
@@ -33,7 +34,7 @@ from critshe.mollifier import (
     pair_profile,
 )
 
-BETA_PHI_QUAD_ORACLE = -0.250063007551472  # independent quadrature route
+BETA_PHI_QUAD_ORACLE = -0.250063007551472  # old convolution route, 2.0e-11 off
 BETA_PHI_MC_ORACLE = (-0.25007774, 6.28e-5)  # Monte Carlo route: (mean, SE)
 PHI_AT_ZERO_RIEMANN = 0.5418154448230816  # independent Riemann-sum route
 BETA_PHI_CONVERGED = -0.2500630075714149  # refined convolution route

@@ -3,8 +3,15 @@
 Reference values frozen from independent oracles:
 * K0 at 1, 2, 15, 30, 60 and 700, and the complex resolvent kernel, from
   mpmath's besselk (30- and 50-digit working precision);
-* the interaction-weight integral at log t + b = 0 from an mpmath
-  tanh-sinh quadrature of the defining a-integral;
+* the interaction-weight integral JW(w) = int_0^inf e^(a w)/Gamma(a) da at
+  w = log t + b = 0 from an mpmath tanh-sinh quadrature, and at eight w in
+  [-700, 6.5] from mpmath 1.3.0 Gauss-Legendre panels in a, split at a = 1,
+  at a = k/|w| for w < -2, and at +-5, 10, 20, 40 standard deviations
+  sqrt(a*) around the maximizer psi(a*) = w (30-digit working precision,
+  18 digits kept; tanh-sinh on the same panels and the Volterra identity
+  below agree to 3e-29).  These integrate over a, while specfun sums the
+  identity JW(w) = e^(w + e^w) + int e^(y - e^y)/(pi^2 + (y - w)^2) dy, so
+  they pin it independently; the Chebyshev table is then pinned to it;
 * the Laplace and convolution identities are self-validating residuals.
 """
 
@@ -40,6 +47,18 @@ K0_LARGE = (
 )
 # mpmath tanh-sinh of int_0^inf e^(w a)/Gamma(a) da at w = 0, frozen
 JW_AT_0 = 2.8077702420285195
+# the same a-integral by mpmath Gauss-Legendre panels (see the module
+# docstring), frozen
+JW_MPMATH = (
+    (-700.0, 2.04416561958783369e-6),
+    (-40.0, 6.41495618220809302e-4),
+    (-5.0, 0.0434857513820778495),
+    (-1.0, 0.61985841414477345),
+    (2.0, 11956.8713438623652),
+    (4.0, 2.81095057284697744e25),
+    (5.5, 4.5391611255089911e108),
+    (6.5, 4.90066535726144162e291),
+)
 # mpmath besselk(0, zeta)/pi for zeta = sqrt(-2 z) at r = 1, frozen
 GREEN2D_COMPLEX = (
     (-1j, 0.02552772933654481 - 0.11372494740114737j),  # zeta = 1+1j
@@ -87,6 +106,29 @@ class TestInteractionWeight:
         for w in (-50.0, -700.0, -3000.0, -1e6, -9e15):
             val = float(jfn_times_t(np.array([w]), 0.0)[0])
             assert val == pytest.approx(1.0 / w**2, rel=1.3 / abs(w) + 1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("w, expected", JW_MPMATH)
+    def test_matches_defining_integral(self, w, expected):
+        # _jw sums the Volterra-function identity; the pins integrate over a
+        rel = 1e-15 if w <= 2.0 else 5e-14
+        assert float(specfun._jw(w)[0]) == pytest.approx(expected, rel=rel, abs=0.0)
+
+    def test_log_matches_log_of_value(self):
+        w = np.linspace(-50.0, 6.5, 5001)
+        log_jw = specfun._jw_log(w)
+        gap = np.abs(log_jw - np.log(specfun._jw(w)))
+        assert np.all(gap <= 1e-15 * np.maximum(1.0, np.abs(log_jw)))
+
+    @pytest.mark.parametrize("w", [7.0, 10.0, 14.0, 20.0])
+    def test_log_beyond_overflow_is_closed_form(self, w):
+        # log JW = w + e^w + log(1 + remainder e^-(w + e^w)), the last term
+        # below one ulp here; no cut, no cap
+        assert float(specfun._jw_log(w)[0]) == w + math.exp(w)
+
+    def test_far_below_zero_underflows_quietly(self):
+        # JW(w) ~ 1/w^2 is below the smallest double once |w| > 1e162
+        assert float(specfun._jw(-1e300)[0]) == 0.0
+        assert jfn(1.0, -1e300) == 0.0
 
     def test_table_matches_quadrature(self):
         # jfn_times_t reads a Chebyshev table; _jw is the quadrature it was
@@ -166,11 +208,17 @@ class TestInteractionWeight:
             rel = abs(jfn_laplace_residual(z, b)) * abs(math.log(-z) - b)
             assert rel < 1e-6
 
-    def test_laplace_near_boundary_raises_instead_of_truncating(self):
-        # the tail needs a panel-B cut far beyond a = 1e6 this close to
-        # Re z = -e^b; a truncated cut would return a wrong value silently
-        with pytest.raises(AccuracyError):
-            jfn_laplace_residual(-(1 + 1e-7), 0.0)
+    def test_laplace_near_boundary_converges(self):
+        # 1e-7 from Re z = -e^b the tail reaches T ~ 5e8 and still decays
+        z = -(1.0 + 1e-7)
+        rel = jfn_laplace_residual(z, 0.0) * abs(math.log(-z))
+        assert rel < 1e-6
+
+    def test_laplace_too_near_boundary_raises_instead_of_truncating(self):
+        # 1e-8 from the boundary the tail would need T ~ 5e9, beyond the 1e9
+        # budget; a truncated tail would return a wrong value silently
+        with pytest.raises(AccuracyError, match="truncation budget"):
+            jfn_laplace_residual(-(1.0 + 1e-8), 0.0)
 
     def test_convolution_identity_residual(self):
         # j(t) = int int j(t1) (t2-t1)^-1 j(t-t2), the semigroup identity
